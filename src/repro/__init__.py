@@ -5,7 +5,8 @@ Public API highlights
 ---------------------
 * :func:`repro.qr.api.ooc_qr` — out-of-core QR (blocking or recursive).
 * :mod:`repro.config` — system configurations (V100 32/16 GB, A100, ...).
-* :mod:`repro.execution` — numeric / simulated / hybrid executors.
+* :mod:`repro.execution` — the executor interface (one op vocabulary) and
+  its numeric / concurrent / simulated backends.
 * :mod:`repro.bench.experiments` — regenerate every table and figure of
   the paper's evaluation section.
 """

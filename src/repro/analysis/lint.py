@@ -1,6 +1,6 @@
 """Repo lint pack: AST rules encoding this codebase's invariants.
 
-Six rules, each guarding a property the test suite and docs rely on but
+Seven rules, each guarding a property the test suite and docs rely on but
 ordinary linters cannot express:
 
 ``reproerror-raises``
@@ -55,6 +55,15 @@ ordinary linters cannot express:
     inverts the dependency and is a finding. The forbidden-edge map
     (:data:`_LAYERING_FORBIDDEN`) is the place to add further edges as
     layers accrete.
+
+``runstats-counting``
+    :class:`~repro.execution.base.RunStats` byte, flop and count fields
+    are bumped in exactly one place: the op methods of
+    :class:`~repro.execution.base.Executor`, which build every op once
+    for all backends. An augmented assignment (``+=`` etc.) to one of
+    those fields on an object named ``stats`` (``self.stats.h2d_bytes``,
+    ``prog.stats.n_gemms``, a local ``stats``) anywhere else is a
+    second counting path that can drift from the ops actually issued.
 
 A finding on a given line is waived by a same-line comment
 ``# lint: allow[<rule>]``. Run via ``tools/lint_repro.py`` (CI runs it
@@ -130,6 +139,12 @@ _SCHEDULER_DIRS = ("execution", "sim", "analysis")
 _HALF_DTYPE_NAMES = {"float16", "bfloat16", "half"}
 _HALF_DTYPE_STRINGS = _HALF_DTYPE_NAMES | {"e", "f2", "<f2", ">f2", "=f2"}
 
+#: RunStats counters only ``execution/base.py`` may bump (``runstats-counting``).
+_RUNSTATS_COUNTERS = {
+    "h2d_bytes", "d2h_bytes", "d2d_bytes",
+    "gemm_flops", "panel_flops", "n_gemms", "n_panels",
+}
+
 #: Layering edges that must not exist: top-level directory under
 #: ``src/repro`` -> module prefixes it may never import.
 _LAYERING_FORBIDDEN: dict[str, tuple[str, ...]] = {
@@ -195,6 +210,14 @@ def _is_half_dtype(node: ast.AST) -> str | None:
     return None
 
 
+def _is_stats_owner(node: ast.AST) -> bool:
+    """Whether *node* spells an object named ``stats`` (``stats`` or
+    ``<expr>.stats``) — the owner the ``runstats-counting`` rule watches."""
+    if isinstance(node, ast.Name):
+        return node.id == "stats"
+    return isinstance(node, ast.Attribute) and node.attr == "stats"
+
+
 def _raised_name(node: ast.Raise) -> str | None:
     exc = node.exc
     if exc is None:
@@ -217,6 +240,7 @@ def lint_source(source: str, path: str, rel_parts: tuple[str, ...]) -> list[Lint
     in_tc = top == "tc"
     in_obs = top == _OBS_DIR
     in_scheduler = top in _SCHEDULER_DIRS
+    counts_runstats = rel_parts == ("execution", "base.py")
     findings: list[LintFinding] = []
 
     def report(node: ast.AST, rule: str, message: str) -> None:
@@ -255,6 +279,19 @@ def lint_source(source: str, path: str, rel_parts: tuple[str, ...]) -> list[Lint
                         f"clock read goes through repro.obs.clock "
                         f"(monotonic / wall_time)",
                     )
+        if (
+            not counts_runstats
+            and isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr in _RUNSTATS_COUNTERS
+            and _is_stats_owner(node.target.value)
+        ):
+            report(
+                node,
+                "runstats-counting",
+                f"RunStats.{node.target.attr} bumped outside execution/base.py; "
+                f"the Executor op methods are the one place ops are counted",
+            )
         if isinstance(node, ast.Raise):
             name = _raised_name(node)
             if (

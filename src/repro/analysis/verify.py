@@ -324,12 +324,14 @@ def check_transfer_volume(
         d2h_model = blocking_d2h_words(m, n, b)
     else:
         h2d_model = recursive_h2d_words(m, n, b)
-        # The paper's recursive D2H form counts only the per-level R12 and
-        # update writebacks; the one-time A <- Q leaf writeback (mn words,
-        # which any correct engine must perform) is omitted from its
-        # accounting, so the verifier's bound restores it. Documented in
-        # docs/analysis.md.
-        d2h_model = recursive_d2h_words(m, n, b) + m * n
+        # The paper's recursive D2H form counts only the per-level update
+        # writebacks and an n^2/2 triangle of R; two one-time leaf
+        # writebacks every correct engine performs are omitted from its
+        # accounting, so the verifier's bound restores them: A <- Q (mn
+        # words) and the leaf R11 blocks written as full b-by-b squares
+        # (nb/2 words beyond the triangle; at k = 1 that is half of R).
+        # Documented in docs/analysis.md.
+        d2h_model = recursive_d2h_words(m, n, b) + m * n + n * b / 2
     report.volume_model = model
     report.model_h2d_bytes = int(h2d_model * eb)
     report.model_d2h_bytes = int(d2h_model * eb)

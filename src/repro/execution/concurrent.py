@@ -49,8 +49,8 @@ from repro.execution.base import DeviceBuffer
 from repro.execution.numeric import NumericExecutor
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.util.regions import rects_overlap
+from repro.sim.ops import EngineKind, SimOp
+from repro.util.regions import host_regions_conflict
 
 #: Per-dependency wait budget. A correct program never hits this (the
 #: dependency graph is acyclic by construction); it exists to fail loudly
@@ -69,17 +69,8 @@ class _Task:
     #: Span id of the issuing thread's open span (the driver root), captured
     #: at issue time so the worker can parent the op span across threads.
     obs_parent: int | None = None
-    #: Issue metadata the worker needs to record the op span.
-    obs_info: tuple | None = None
-
-
-def _regions_conflict(a: HostRegion, b: HostRegion) -> bool:
-    """Rectangles of the same host matrix overlap."""
-    if a.matrix is not b.matrix:
-        return False
-    return rects_overlap(
-        (a.row0, a.row1), (a.col0, a.col1), (b.row0, b.row1), (b.col0, b.col1)
-    )
+    #: Stream the op was issued on; set only when spans are recorded.
+    obs_stream: Any = None
 
 
 class ConcurrentNumericExecutor(NumericExecutor):
@@ -135,14 +126,12 @@ class ConcurrentNumericExecutor(NumericExecutor):
                     task.body()
                     task.op.end = self._now()
                     task.op.duration = task.op.end - task.op.start
-                    if self.obs.enabled and task.obs_info is not None:
-                        nbytes, flops, tag, accesses, stream = task.obs_info
+                    if self.obs.enabled and task.obs_stream is not None:
                         self._record_op_span(
-                            task.op.name, engine, task.op.kind,
+                            task.op,
                             task.op.start + self._obs_t0,
                             task.op.end + self._obs_t0,
-                            nbytes=nbytes, flops=flops, tag=tag,
-                            accesses=accesses, stream=stream,
+                            task.obs_stream,
                             parent_id=task.obs_parent,
                         )
             except BaseException as exc:  # noqa: BLE001 - must never kill worker
@@ -171,7 +160,7 @@ class ConcurrentNumericExecutor(NumericExecutor):
             log = self._host_log.setdefault(key, [])
             live = [entry for entry in log if not entry[0].done.is_set()]
             for task, other, other_write in live:
-                if (write or other_write) and _regions_conflict(region, other):
+                if (write or other_write) and host_regions_conflict(region, other):
                     deps.append(task)
             self._host_log[key] = live
 
@@ -179,14 +168,8 @@ class ConcurrentNumericExecutor(NumericExecutor):
         self,
         stream: Any,
         *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
+        op: SimOp,
         body: Callable[[], None],
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses: list | None = None,
         host_reads: tuple[HostRegion, ...] = (),
         host_writes: tuple[HostRegion, ...] = (),
     ) -> None:
@@ -196,10 +179,6 @@ class ConcurrentNumericExecutor(NumericExecutor):
             self._t0 = _monotonic()
             if self.obs.enabled:
                 self._obs_t0 = self.obs.now()
-        op = self._make_op(
-            name=name, engine=engine, kind=kind, nbytes=nbytes, flops=flops,
-            tag=tag, accesses=accesses,
-        )
         assert self.program is not None
         self.program.append(op, stream)
         deps = [self._task_of[d] for d in op.deps if d in self._task_of]
@@ -208,12 +187,12 @@ class ConcurrentNumericExecutor(NumericExecutor):
         task = _Task(op=op, body=body, deps=tuple(dict.fromkeys(deps)))
         if self.obs.enabled:
             task.obs_parent = self.obs.current_id()
-            task.obs_info = (nbytes, flops, tag, accesses, stream)
+            task.obs_stream = stream
         self._task_of[op] = task
         self._inflight.append(task)
-        for access in accesses or ():
+        for access in op.tags["accesses"]:
             self._buffer_pending.setdefault(access[0], []).append(task)
-        self._queues[engine].put(task)
+        self._queues[op.engine].put(task)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -21,28 +21,21 @@ a scaled-down :class:`~repro.hw.specs.GpuSpec` for tests).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
-from repro.execution.base import DeviceBuffer, DeviceView, Executor, as_view
+from repro.execution.base import Body, DeviceBuffer, DeviceView, Executor
 from repro.health.sentinel import NULL_SENTINEL, HealthSentinel
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
 from repro.sim.memory import DeviceAllocator
-from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.sim.scheduler import (
-    StreamProgram,
-    copy_name,
-    device_access,
-    gemm_name,
-    panel_name,
-)
+from repro.sim.ops import SimOp
+from repro.sim.scheduler import StreamProgram
 from repro.sim.trace import Trace
 from repro.tc.gemm import tc_gemm
-from repro.util.units import gemm_flops
 
 
 class _NullStream:
@@ -94,24 +87,18 @@ class NumericExecutor(Executor):
         self,
         stream: Any,
         *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        body: Callable[[], None],
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses: list | None = None,
+        op: SimOp,
+        body: Body,
         host_reads: tuple[HostRegion, ...] = (),
         host_writes: tuple[HostRegion, ...] = (),
     ) -> None:
         """Run (or dispatch) one operation.
 
         The serial executor executes *body* immediately; when recording it
-        also appends a :class:`~repro.sim.ops.SimOp` node to the program
-        with the op's stream/event dependency edges and wall-clock stamps.
-        Subclasses override this to schedule *body* elsewhere (the
-        concurrent executor sends it to the op's engine worker).
+        also appends *op* to the program with its stream/event dependency
+        edges and wall-clock stamps. Subclasses override this to schedule
+        *body* elsewhere (the concurrent executor sends it to the op's
+        engine worker).
         """
         if self._t0 is None:
             self._t0 = _monotonic()
@@ -121,18 +108,10 @@ class NumericExecutor(Executor):
             if self.obs.enabled:
                 start = self.obs.now()
                 body()
-                self._record_op_span(
-                    name, engine, kind, start, self.obs.now(),
-                    nbytes=nbytes, flops=flops, tag=tag,
-                    accesses=accesses, stream=stream,
-                )
+                self._record_op_span(op, start, self.obs.now(), stream)
             else:
                 body()
             return
-        op = self._make_op(
-            name=name, engine=engine, kind=kind, nbytes=nbytes, flops=flops,
-            tag=tag, accesses=accesses,
-        )
         self.program.append(op, stream)
         op.start = self._now()
         body()
@@ -140,25 +119,15 @@ class NumericExecutor(Executor):
         op.duration = op.end - op.start
         if self.obs.enabled:
             self._record_op_span(
-                name, engine, kind,
-                op.start + self._obs_t0, op.end + self._obs_t0,
-                nbytes=nbytes, flops=flops, tag=tag,
-                accesses=accesses, stream=stream,
+                op, op.start + self._obs_t0, op.end + self._obs_t0, stream
             )
 
     def _record_op_span(
         self,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
+        op: SimOp,
         start: float,
         end: float,
-        *,
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses: list | None = None,
-        stream: Any = None,
+        stream: Any,
         parent_id: int | None = None,
     ) -> None:
         """Record one executed op as a span on its engine lane.
@@ -176,44 +145,23 @@ class NumericExecutor(Executor):
         stream_name = getattr(stream, "name", "")
         if stream_name:
             attrs["stream"] = stream_name
-        if nbytes:
-            attrs["nbytes"] = nbytes
-        if flops:
-            attrs["flops"] = flops
+        if op.nbytes:
+            attrs["nbytes"] = op.nbytes
+        if op.flops:
+            attrs["flops"] = op.flops
+        tag = op.tags.get("tag")
         if tag is not None:
             attrs["tag"] = tag
+        accesses = op.tags["accesses"]
         if accesses:
             attrs["rects"] = [
                 ("w" if write else "r", r0, r1, c0, c1)
                 for _handle, r0, r1, c0, c1, write in accesses
             ]
         self.obs.record(
-            name, start, end,
-            cat=kind.value, lane=engine.value,
+            op.name, start, end,
+            cat=op.kind.value, lane=op.engine.value,
             parent_id=parent_id, attrs=attrs,
-        )
-
-    @staticmethod
-    def _make_op(
-        *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        nbytes: int,
-        flops: int,
-        tag: str | None,
-        accesses: list | None,
-    ) -> SimOp:
-        """Build the recorded node for one numeric op (no duration model —
-        real durations are stamped at execution time)."""
-        tags: dict[str, Any] = {}
-        if tag is not None:
-            tags["tag"] = tag
-        if accesses is not None:
-            tags["accesses"] = accesses
-        return SimOp(
-            name=name, engine=engine, kind=kind, duration=0.0,
-            nbytes=nbytes, flops=flops, tags=tags,
         )
 
     def recorded_trace(self) -> Trace:
@@ -299,102 +247,45 @@ class NumericExecutor(Executor):
         for view in views:
             self._data(view)
 
-    # -- data movement ------------------------------------------------------------
+    # -- numeric op bodies (the ops themselves are built by Executor) -----------
 
-    def h2d(self, dst: DeviceBuffer | DeviceView, src: HostRegion, stream: Any) -> None:
-        dst = as_view(dst)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(dst)
-        self.stats.h2d_bytes += src.nbytes
-        op_name = copy_name("h2d", src, dst)
-
+    def _body_h2d(self, op: SimOp, dst: DeviceView, src: HostRegion) -> Body:
         def body() -> None:
             data = self._data(dst)
             np.copyto(data, src.array)
             if self.health.enabled:
-                self.health.check_h2d(data, op_name)
+                self.health.check_h2d(data, op.name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.H2D,
-            kind=OpKind.COPY_H2D,
-            body=body,
-            nbytes=src.nbytes,
-            accesses=[device_access(dst, True)],
-            host_reads=(src,),
-        )
+        return body
 
-    def d2h(self, dst: HostRegion, src: DeviceBuffer | DeviceView, stream: Any) -> None:
-        src = as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(src)
-        self.stats.d2h_bytes += dst.nbytes
-        op_name = copy_name("d2h", src, dst)
-
+    def _body_d2h(self, op: SimOp, dst: HostRegion, src: DeviceView) -> Body:
         def body() -> None:
             data = self._data(src)
             # writeback scan: the last probed boundary before results reach
             # the host — device-side NaNs must never land silently
             if self.health.enabled:
-                self.health.check_d2h(data, op_name)
+                self.health.check_d2h(data, op.name)
             np.copyto(dst.array, data)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.D2H,
-            kind=OpKind.COPY_D2H,
-            body=body,
-            nbytes=dst.nbytes,
-            accesses=[device_access(src, False)],
-            host_writes=(dst,),
-        )
+        return body
 
-    def d2d(
-        self, dst: DeviceBuffer | DeviceView, src: DeviceBuffer | DeviceView, stream: Any
-    ) -> None:
-        dst, src = as_view(dst), as_view(src)
-        self._check_copy_shapes(dst.shape, src.shape)
-        self._check_live(dst, src)
-        nbytes = dst.rows * dst.cols * self.config.element_bytes
-        self.stats.d2d_bytes += nbytes
-
+    def _body_d2d(self, op: SimOp, dst: DeviceView, src: DeviceView) -> Body:
         def body() -> None:
             np.copyto(self._data(dst), self._data(src))
 
-        self._issue(
-            stream,
-            name=copy_name("d2d", src, dst),
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.COPY_D2D,
-            body=body,
-            nbytes=nbytes,
-            accesses=[device_access(src, False), device_access(dst, True)],
-        )
+        return body
 
-    # -- compute --------------------------------------------------------------------
-
-    def gemm(
+    def _body_gemm(
         self,
-        c: DeviceBuffer | DeviceView,
-        a: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        trans_a: bool = False,
-        trans_b: bool = False,
-        tag: str = "gemm",
-    ) -> None:
-        c, a, b = as_view(c), as_view(a), as_view(b)
-        m, n, k = self._gemm_dims(c, a, b, trans_a, trans_b)
-        self._check_live(c, a, b)
-        self.stats.gemm_flops += gemm_flops(m, n, k)
-        self.stats.n_gemms += 1
-        op_name = gemm_name(tag, m, n, k)
-
+        op: SimOp,
+        c: DeviceView,
+        a: DeviceView,
+        b: DeviceView,
+        alpha: float,
+        beta: float,
+        trans_a: bool,
+        trans_b: bool,
+    ) -> Body:
         def body() -> None:
             health = self.health
             c_data = self._data(c)
@@ -439,44 +330,13 @@ class NumericExecutor(Executor):
                     )
 
                 health.check_gemm(
-                    c_data, op_name,
+                    c_data, op.name,
                     retry_fp32 if (beta == 0.0 or c_prev is not None) else None,
                 )
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            body=body,
-            flops=gemm_flops(m, n, k),
-            tag=tag,
-            accesses=[
-                device_access(a, False),
-                device_access(b, False),
-                device_access(c, True),
-            ],
-        )
+        return body
 
-    def panel_qr(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        r_out: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel",
-    ) -> None:
-        panel, r_out = as_view(panel), as_view(r_out)
-        if r_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_qr: R is {r_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        self._check_live(panel, r_out)
-        flops = self.config.panel.flops(panel.rows, panel.cols)
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
+    def _body_panel_qr(self, op: SimOp, panel: DeviceView, r_out: DeviceView) -> Body:
         def body() -> None:
             a_data = self._data(panel)
             # Keep the pre-factorization panel for the sentinel: breakdown
@@ -489,16 +349,7 @@ class NumericExecutor(Executor):
             np.copyto(a_data, q)
             np.copyto(self._data(r_out), r)
 
-        self._issue(
-            stream,
-            name=panel_name(tag, panel.rows, panel.cols),
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True), device_access(r_out, True)],
-        )
+        return body
 
     def _factorize_panel(self, a_data: np.ndarray):
         """Dispatch on ``config.panel_algorithm``; imports are lazy because
@@ -520,34 +371,16 @@ class NumericExecutor(Executor):
 
     # -- §6 extension ops (LU / Cholesky) -------------------------------------
 
-    def trsm(
+    def _body_trsm(
         self,
-        a_tri: DeviceBuffer | DeviceView,
-        b: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        lower: bool = True,
-        unit_diag: bool = False,
-        trans_a: bool = False,
-        tag: str = "trsm",
-    ) -> None:
+        op: SimOp,
+        a_tri: DeviceView,
+        b: DeviceView,
+        lower: bool,
+        unit_diag: bool,
+        trans_a: bool,
+    ) -> Body:
         import scipy.linalg
-
-        a_tri, b = as_view(a_tri), as_view(b)
-        if a_tri.rows != a_tri.cols:
-            raise ExecutionError(
-                f"trsm: triangle must be square, got {a_tri.shape}"
-            )
-        if b.rows != a_tri.rows:
-            raise ExecutionError(
-                f"trsm: B has {b.rows} rows, triangle is {a_tri.rows}"
-            )
-        self._check_live(a_tri, b)
-        flops = a_tri.rows * a_tri.rows * b.cols
-        self.stats.gemm_flops += flops
-        self.stats.n_gemms += 1
-
-        op_name = panel_name(tag, a_tri.rows, b.cols)
 
         def body() -> None:
             b_data = self._data(b)
@@ -561,84 +394,29 @@ class NumericExecutor(Executor):
             )
             np.copyto(b_data, solved.astype(np.float32, copy=False))
             if self.health.enabled:
-                self.health.check_output(b_data, op_name)
+                self.health.check_output(b_data, op.name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(a_tri, False), device_access(b, True)],
-        )
+        return body
 
-    def panel_lu(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        u_out: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel-lu",
-    ) -> None:
+    def _body_panel_lu(self, op: SimOp, panel: DeviceView, u_out: DeviceView) -> Body:
         from repro.factor.incore import incore_lu_nopivot
-
-        panel, u_out = as_view(panel), as_view(u_out)
-        if u_out.shape != (panel.cols, panel.cols):
-            raise ExecutionError(
-                f"panel_lu: U is {u_out.shape}, expected "
-                f"{(panel.cols, panel.cols)}"
-            )
-        self._check_live(panel, u_out)
-        # LU panel work is m b^2 — half of QR's 2 m b^2
-        flops = self.config.panel.flops(panel.rows, panel.cols) // 2
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-
-        op_name = panel_name(tag, panel.rows, panel.cols)
 
         def body() -> None:
             a_data = self._data(panel)
             packed = incore_lu_nopivot(a_data, input_format=self._input_format)
             if self.health.enabled:
-                self.health.check_output(packed, op_name)
+                self.health.check_output(packed, op.name)
             np.copyto(a_data, packed)
             np.copyto(self._data(u_out), np.triu(packed[: panel.cols]))
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True), device_access(u_out, True)],
-        )
+        return body
 
-    def panel_cholesky(
-        self,
-        panel: DeviceBuffer | DeviceView,
-        stream: Any,
-        *,
-        tag: str = "panel-chol",
-    ) -> None:
+    def _body_panel_cholesky(self, op: SimOp, panel: DeviceView) -> Body:
         import scipy.linalg
 
         from repro.errors import ValidationError
 
-        panel = as_view(panel)
         b = panel.cols
-        if panel.rows < b:
-            raise ExecutionError(
-                f"panel_cholesky: panel {panel.shape} shorter than its width"
-            )
-        self._check_live(panel)
-        flops = b * b * b // 3 + (panel.rows - b) * b * b
-        self.stats.panel_flops += flops
-        self.stats.n_panels += 1
-        op_name = panel_name(tag, panel.rows, panel.cols)
 
         def body() -> None:
             data = self._data(panel)
@@ -657,15 +435,6 @@ class NumericExecutor(Executor):
                     check_finite=False,
                 ).T.astype(np.float32)
             if self.health.enabled:
-                self.health.check_output(data, op_name)
+                self.health.check_output(data, op.name)
 
-        self._issue(
-            stream,
-            name=op_name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            body=body,
-            flops=flops,
-            tag=tag,
-            accesses=[device_access(panel, True)],
-        )
+        return body

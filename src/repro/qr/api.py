@@ -18,7 +18,7 @@ performance run::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from repro.ckpt import (
     run_fingerprint,
 )
 from repro.config import PAPER_SYSTEM, SystemConfig
-from repro.errors import ValidationError
+from repro.errors import ExecutionError, ValidationError
 from repro.execution.base import RunStats
-from repro.execution.hybrid import HybridExecutor
 from repro.execution.concurrent import ConcurrentNumericExecutor
 from repro.execution.numeric import NumericExecutor
 from repro.execution.sim import SimExecutor
@@ -138,6 +137,32 @@ def _execute_qr_graph(
     return trace
 
 
+def _hybrid_qr(host_a, method, config, options, obs) -> QrResult:
+    """``mode="hybrid"``: the numeric run, then a data-free sim run of the
+    same shape and config for the timeline. Both issue the same op stream,
+    so every ``RunStats`` counter must agree."""
+    result = ooc_qr(
+        host_a, method=method, mode="numeric", config=config,
+        options=options, obs=obs,
+    )
+    twin = HostMatrix.shape_only(
+        host_a.rows, host_a.cols, host_a.element_bytes, name=host_a.name
+    )
+    timed = ooc_qr(twin, method=method, mode="sim", config=config, options=options)
+    diverged = [
+        f.name
+        for f in fields(RunStats)
+        if f.name not in ("makespan", "wall_s")
+        and getattr(result.stats, f.name) != getattr(timed.stats, f.name)
+    ]
+    if diverged:
+        raise ExecutionError(
+            f"hybrid numeric and sim runs diverged on: {', '.join(diverged)}"
+        )
+    result.stats.makespan = timed.stats.makespan
+    return replace(result, mode="hybrid", trace=timed.trace)
+
+
 def ooc_qr(
     a,
     *,
@@ -165,8 +190,11 @@ def ooc_qr(
         (the conventional baseline).
     mode
         ``"numeric"`` (real computation), ``"sim"`` (event-simulated
-        timing, no data), or ``"hybrid"`` (both). Defaults to ``"numeric"``
-        for backed inputs and ``"sim"`` for shapes.
+        timing, no data), or ``"hybrid"`` (a numeric run, then a sim run
+        of the same shape whose trace and makespan the result carries;
+        :class:`~repro.errors.ExecutionError` if their counters differ).
+        Defaults to ``"numeric"`` for backed inputs and ``"sim"`` for
+        shapes.
     config
         System configuration; defaults to the paper's V100-32GB testbed.
     options
@@ -230,8 +258,6 @@ def ooc_qr(
     if options is None:
         options = QrOptions()
     if blocksize is not None:
-        from dataclasses import replace
-
         options = replace(options, blocksize=blocksize)
 
     n = host_a.cols
@@ -239,10 +265,6 @@ def ooc_qr(
     config.check_host_capacity(
         host_a.rows * host_a.cols + n * n, what="OOC QR (A + R)"
     )
-    if shape_only:
-        host_r = HostMatrix.shape_only(n, n, config.element_bytes, name="R")
-    else:
-        host_r = HostMatrix.zeros(n, n, dtype=np.float32, name="R")
 
     concurrency = one_of(concurrency, ("serial", "threads"), "concurrency")
     if concurrency == "threads" and mode != "numeric":
@@ -274,6 +296,13 @@ def ooc_qr(
                 "use the legacy runtime"
             )
 
+    if mode == "hybrid":
+        return _hybrid_qr(host_a, method, config, options, obs)
+    if shape_only:
+        host_r = HostMatrix.shape_only(n, n, config.element_bytes, name="R")
+    else:
+        host_r = HostMatrix.zeros(n, n, dtype=np.float32, name="R")
+
     obs_rec = obs if obs is not None else NULL_RECORDER
 
     if runtime == "dag":
@@ -299,10 +328,8 @@ def ooc_qr(
                 base_format=config.precision.input_format,
                 obs=obs_rec,
             )
-    elif mode == "sim":
-        ex = SimExecutor(config)
     else:
-        ex = HybridExecutor(config)
+        ex = SimExecutor(config)
 
     session = None
     if checkpoint is not None:
@@ -337,7 +364,7 @@ def ooc_qr(
                     ex, config, method, host_a, options, mode, concurrency,
                     obs=obs_rec,
                 )
-            elif mode in ("sim", "hybrid"):
+            elif mode == "sim":
                 trace = ex.finish()
             else:
                 ex.synchronize()

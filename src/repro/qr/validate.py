@@ -13,7 +13,7 @@ def check_qr_inputs(
     """Validate the (A, R) pair for an OOC QR run; returns (m, n).
 
     A must be tall (m >= n). R must be n-by-n. Both must agree on backing:
-    either both carry data (numeric/hybrid run) or both are shape-only
+    either both carry data (numeric run) or both are shape-only
     (simulated run) — a mixed pair is almost certainly a caller bug.
     """
     m, n = a.shape

@@ -4,10 +4,12 @@ The drivers in :mod:`repro.qr`, :mod:`repro.ooc` and :mod:`repro.factor`
 are written against the abstract :class:`~repro.execution.base.Executor`
 surface. :class:`GraphBuilder` subclasses the eager
 :class:`~repro.execution.numeric.NumericExecutor` and overrides its single
-op funnel (``_issue``) so that every op is recorded as a
+op hook (``_issue``) so that every op is recorded as a
 :class:`~repro.runtime.task.TileTask` — carrying its engine class, tile
-read/write sets, host regions, a cost hint from the hardware model, and
-the unexecuted numeric closure — instead of running immediately. A
+read/write sets, host regions, a cost hint from
+:func:`repro.sim.simulator.price` (the same function that times
+``SimExecutor`` ops), and the unexecuted numeric closure — instead of
+running immediately. A
 scheduler then executes the graph later, in any dependency-respecting
 order.
 
@@ -30,16 +32,14 @@ simulation and static analysis without allocating host data.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
-from repro.execution.base import DeviceBuffer, DeviceView, as_view
+from repro.execution.base import Body, DeviceBuffer, DeviceView, tag_host_region
 from repro.execution.numeric import NumericExecutor
 from repro.host.tiled import HostRegion
-from repro.hw.transfer import Direction
 from repro.runtime.task import TaskGraph
-from repro.sim.ops import EngineKind, OpKind, SimOp
+from repro.sim.ops import SimOp
+from repro.sim.simulator import price
 
 #: Tag key marking a buffer freed at *build* time. The real ``freed`` flag
 #: must stay False until the graph executes (bodies read payload data), so
@@ -73,112 +73,27 @@ class GraphBuilder(NumericExecutor):
         self.graph = TaskGraph(config, label=label)
         self.graph.stats = self.stats  # one shared accounting object
         self._materialize = materialize
-        self._shape_hint: tuple[str, tuple[int, ...]] | None = None
 
-    # -- op funnel --------------------------------------------------------------
+    # -- the op hook ------------------------------------------------------------
 
     def _issue(
         self,
         stream,
         *,
-        name: str,
-        engine: EngineKind,
-        kind: OpKind,
-        body: Callable[[], None],
-        nbytes: int = 0,
-        flops: int = 0,
-        tag: str | None = None,
-        accesses=None,
+        op: SimOp,
+        body: Body,
         host_reads: tuple[HostRegion, ...] = (),
         host_writes: tuple[HostRegion, ...] = (),
     ) -> None:
-        tags: dict = {}
-        if tag is not None:
-            tags["tag"] = tag
-        if accesses is not None:
-            tags["accesses"] = accesses
-        # Host-side identity of transfers, for the redundant-reload pass.
-        if kind is OpKind.COPY_H2D and host_reads:
-            tags["host_region"] = _host_tag(host_reads[0])
-            tags["host_label"] = host_reads[0].label()
-        elif kind is OpKind.COPY_D2H and host_writes:
-            tags["host_region"] = _host_tag(host_writes[0])
-            tags["host_label"] = host_writes[0].label()
-        op = SimOp(
-            name=name,
-            engine=engine,
-            kind=kind,
-            duration=0.0,
-            nbytes=nbytes,
-            flops=flops,
-            tags=tags,
-        )
+        tag_host_region(op, host_reads, host_writes)
         self.graph.add_op(
             op,
             body=body if self._materialize else None,
-            cost=self._cost(kind, nbytes, flops),
-            accesses=accesses or (),
+            cost=price(op, self.config),
+            accesses=op.tags["accesses"],
             host_reads=host_reads,
             host_writes=host_writes,
         )
-        self._shape_hint = None
-
-    def _cost(self, kind: OpKind, nbytes: int, flops: int) -> float:
-        """Model-seconds cost hint from the §2 hardware model. Shapes for
-        compute ops come from thin overrides that stash ``_shape_hint``
-        before delegating to the parent implementation."""
-        cfg = self.config
-        if kind is OpKind.COPY_H2D:
-            return cfg.transfer.time(nbytes, Direction.H2D)
-        if kind is OpKind.COPY_D2H:
-            return cfg.transfer.time(nbytes, Direction.D2H)
-        if kind is OpKind.COPY_D2D:
-            return cfg.transfer.time(nbytes, Direction.D2D)
-        hint = self._shape_hint
-        if hint is not None:
-            what, dims = hint
-            if what == "gemm":
-                m, n, k = dims
-                return cfg.gemm.time(m, n, k, cfg.precision)
-            if what == "panel":
-                rows, cols = dims
-                return cfg.panel.time(rows, cols)
-        # trsm / LU / Cholesky panels (legacy-path engines run through
-        # graph adapters only): coarse CUDA-core estimate.
-        return flops / cfg.gpu.cuda_peak_flops if flops else 0.0
-
-    # shape-stashing overrides: recompute op dimensions, then delegate
-
-    def gemm(self, c, a, b, stream, *, alpha=1.0, beta=0.0, trans_a=False,
-             trans_b=False, tag="gemm"):
-        m, n, k = self._gemm_dims(
-            as_view(c), as_view(a), as_view(b), trans_a, trans_b
-        )
-        self._shape_hint = ("gemm", (m, n, k))
-        super().gemm(c, a, b, stream, alpha=alpha, beta=beta,
-                     trans_a=trans_a, trans_b=trans_b, tag=tag)
-
-    def panel_qr(self, panel, r_out, stream, *, tag="panel"):
-        view = as_view(panel)
-        self._shape_hint = ("panel", (view.rows, view.cols))
-        super().panel_qr(panel, r_out, stream, tag=tag)
-
-    def panel_lu(self, panel, u_out, stream, *, tag="panel-lu"):
-        view = as_view(panel)
-        self._shape_hint = ("panel-lu", (view.rows, view.cols))
-        super().panel_lu(panel, u_out, stream, tag=tag)
-
-    def panel_cholesky(self, panel, stream, *, tag="panel-chol"):
-        view = as_view(panel)
-        self._shape_hint = ("panel-chol", (view.rows, view.cols))
-        super().panel_cholesky(panel, stream, tag=tag)
-
-    def trsm(self, a_tri, b, stream, *, lower=True, unit_diag=False,
-             trans_a=False, tag="trsm"):
-        view = as_view(b)
-        self._shape_hint = ("trsm", (view.rows, view.cols))
-        super().trsm(a_tri, b, stream, lower=lower, unit_diag=unit_diag,
-                     trans_a=trans_a, tag=tag)
 
     # -- memory -----------------------------------------------------------------
 
@@ -212,14 +127,6 @@ class GraphBuilder(NumericExecutor):
                     f"device buffer {buf.name!r} was not allocated by this "
                     "builder"
                 )
-
-
-def _host_tag(region: HostRegion) -> tuple[int, int, int, int, int]:
-    """Stable identity of a host region for redundancy analysis — same
-    scheme as ``CaptureExecutor._host_tag``."""
-    return (
-        id(region.matrix), region.row0, region.row1, region.col0, region.col1
-    )
 
 
 __all__ = ["GraphBuilder"]

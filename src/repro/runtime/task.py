@@ -38,25 +38,11 @@ from repro.errors import DeadlockError
 from repro.execution.base import DeviceBuffer, RunStats
 from repro.host.tiled import HostRegion
 from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.util.regions import rects_overlap
+from repro.util.regions import accesses_conflict, host_regions_conflict
 
 #: Device access record: ``(handle, row0, row1, col0, col1, is_write)`` —
 #: identical to :data:`repro.sim.scheduler.DeviceAccess`.
 Access = tuple[int, int, int, int, int, bool]
-
-
-def _accesses_conflict(a: Access, b: Access) -> bool:
-    if a[0] != b[0] or not (a[5] or b[5]):
-        return False
-    return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
-
-
-def _host_conflict(a: HostRegion, b: HostRegion) -> bool:
-    if a.matrix is not b.matrix:
-        return False
-    return rects_overlap(
-        (a.row0, a.row1), (a.col0, a.col1), (b.row0, b.row1), (b.col0, b.col1)
-    )
 
 
 @dataclass(eq=False)
@@ -157,7 +143,7 @@ class TaskGraph:
 
     def _device_deps(self, task: TileTask, access: Access) -> list[TileTask]:
         log = self._device_log.setdefault(access[0], [])
-        deps = [t for t, other in log if _accesses_conflict(access, other)]
+        deps = [t for t, other in log if accesses_conflict(access, other)]
         log.append((task, access))
         return deps
 
@@ -168,7 +154,7 @@ class TaskGraph:
         deps = [
             t
             for t, other, other_write in log
-            if (write or other_write) and _host_conflict(region, other)
+            if (write or other_write) and host_regions_conflict(region, other)
         ]
         log.append((task, region, write))
         return deps
@@ -331,7 +317,7 @@ def _device_conflict(a: SimOp, b: SimOp) -> bool:
     """Whether two ops touch overlapping device data with a writer."""
     for access_a in a.tags.get("accesses", ()):
         for access_b in b.tags.get("accesses", ()):
-            if _accesses_conflict(access_a, access_b):
+            if accesses_conflict(access_a, access_b):
                 return True
     return False
 

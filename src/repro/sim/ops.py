@@ -56,6 +56,10 @@ class SimOp:
     nbytes: int = 0
     flops: int = 0
     tags: dict[str, Any] = field(default_factory=dict)
+    #: Shape the cost model prices (:func:`repro.sim.simulator.price`):
+    #: ``(m, n, k)`` for a GEMM, ``(k, n)`` for a triangular solve,
+    #: ``(m, b)`` for a panel; empty for copies.
+    dims: tuple[int, ...] = ()
     # -- filled in by the simulator -----------------------------------------
     op_id: int = field(default_factory=lambda: next(_op_counter))
     deps: set["SimOp"] = field(default_factory=set)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.sim.ops import SimOp
 from repro.sim.trace import Trace
-from repro.util.regions import rects_overlap
+from repro.util.regions import accesses_conflict
 
 #: Access record: (buffer_handle, row0, row1, col0, col1, is_write)
 Access = tuple[int, int, int, int, int, bool]
@@ -38,12 +38,6 @@ class Race:
             f"race on buffer {self.buffer_handle}: "
             f"{self.op_a.name!r} vs {self.op_b.name!r}"
         )
-
-
-def _overlap(a: Access, b: Access) -> bool:
-    if a[0] != b[0] or not (a[5] or b[5]):
-        return False
-    return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
 
 
 def find_hazards(ops: Sequence[SimOp]) -> list[Race]:
@@ -79,7 +73,7 @@ def find_hazards(ops: Sequence[SimOp]) -> list[Race]:
         for acc in op.tags.get("accesses", ()):
             bucket = by_buffer.setdefault(acc[0], [])
             for j, other in bucket:
-                if not _overlap(acc, other):
+                if not accesses_conflict(acc, other):
                     continue
                 if reach[i] & (1 << j):
                     continue  # ordered

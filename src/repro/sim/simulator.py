@@ -24,13 +24,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
-from repro.errors import SimulationError
 from repro.errors import DeadlockError
+from repro.hw.transfer import Direction
 from repro.sim.memory import DeviceAllocator
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.sim.scheduler import StreamProgram
 from repro.sim.stream import Event, Stream
 from repro.sim.trace import Trace
+from repro.util.units import gemm_flops
 
 
 @dataclass
@@ -133,65 +134,78 @@ class GpuSimulator:
 
     # -- convenience op builders (durations from the config's models) ---------
 
+    def _priced(self, op: SimOp) -> SimOp:
+        op.duration = price(op, self.config)
+        return op
+
     def op_h2d(self, nbytes: int, name: str, **tags) -> SimOp:
         """Build (not enqueue) a host-to-device copy op."""
-        from repro.hw.transfer import Direction
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.H2D,
-            kind=OpKind.COPY_H2D,
-            duration=self.config.transfer.time(nbytes, Direction.H2D),
-            nbytes=nbytes,
-            tags=tags,
-        )
+        return self._priced(SimOp(
+            name=name, engine=EngineKind.H2D, kind=OpKind.COPY_H2D,
+            duration=0.0, nbytes=nbytes, tags=tags,
+        ))
 
     def op_d2h(self, nbytes: int, name: str, **tags) -> SimOp:
         """Build a device-to-host copy op."""
-        from repro.hw.transfer import Direction
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.D2H,
-            kind=OpKind.COPY_D2H,
-            duration=self.config.transfer.time(nbytes, Direction.D2H),
-            nbytes=nbytes,
-            tags=tags,
-        )
+        return self._priced(SimOp(
+            name=name, engine=EngineKind.D2H, kind=OpKind.COPY_D2H,
+            duration=0.0, nbytes=nbytes, tags=tags,
+        ))
 
     def op_d2d(self, nbytes: int, name: str, **tags) -> SimOp:
         """Build an on-device copy op (runs on the compute engine)."""
-        from repro.hw.transfer import Direction
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.COPY_D2D,
-            duration=self.config.transfer.time(nbytes, Direction.D2D),
-            nbytes=nbytes,
-            tags=tags,
-        )
+        return self._priced(SimOp(
+            name=name, engine=EngineKind.COMPUTE, kind=OpKind.COPY_D2D,
+            duration=0.0, nbytes=nbytes, tags=tags,
+        ))
 
     def op_gemm(self, m: int, n: int, k: int, name: str, **tags) -> SimOp:
         """Build an in-core GEMM op timed by the shape-efficiency model."""
-        from repro.util.units import gemm_flops
-
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.GEMM,
-            duration=self.config.gemm.time(m, n, k, self.config.precision),
-            flops=gemm_flops(m, n, k),
+        return self._priced(SimOp(
+            name=name, engine=EngineKind.COMPUTE, kind=OpKind.GEMM,
+            duration=0.0, flops=gemm_flops(m, n, k), dims=(m, n, k),
             tags={"m": m, "n": n, "k": k, **tags},
-        )
+        ))
 
     def op_panel(self, m: int, b: int, name: str, **tags) -> SimOp:
         """Build an in-core panel-factorization op."""
-        return SimOp(
-            name=name,
-            engine=EngineKind.COMPUTE,
-            kind=OpKind.PANEL,
-            duration=self.config.panel.time(m, b),
-            flops=self.config.panel.flops(m, b),
+        return self._priced(SimOp(
+            name=name, engine=EngineKind.COMPUTE, kind=OpKind.PANEL,
+            duration=0.0, flops=self.config.panel.flops(m, b), dims=(m, b),
             tags={"m": m, "b": b, **tags},
-        )
+        ))
+
+
+#: TRSM runs below GEMM rate on TensorCore (serial dependency chain in the
+#: triangular solve); cuBLAS achieves roughly half.
+TRSM_EFFICIENCY = 0.5
+
+_COPY_DIRECTION = {
+    OpKind.COPY_H2D: Direction.H2D,
+    OpKind.COPY_D2H: Direction.D2H,
+    OpKind.COPY_D2D: Direction.D2D,
+}
+
+
+def price(op: SimOp, config: SystemConfig) -> float:
+    """Model seconds of one device op under *config*'s hardware models.
+
+    The one cost function of the library: :class:`SimExecutor` durations
+    and :class:`~repro.runtime.builder.GraphBuilder` cost hints both come
+    from here, so the legacy simulator and the DAG runtime price every op
+    identically. Compute ops are priced from ``op.dims`` (see
+    :class:`~repro.sim.ops.SimOp`) and ``op.flops``.
+    """
+    direction = _COPY_DIRECTION.get(op.kind)
+    if direction is not None:
+        return config.transfer.time(op.nbytes, direction)
+    if op.kind is OpKind.PANEL:
+        # QR panels take the calibrated panel time; LU (half the flops)
+        # and Cholesky panels run at the same rate, so scale by flop share
+        m, b = op.dims
+        return config.panel.time(m, b) * (op.flops / max(config.panel.flops(m, b), 1))
+    if len(op.dims) == 3:
+        return config.gemm.time(*op.dims, config.precision)
+    k, n = op.dims
+    rate = config.gemm.rate(k, n, k, config.precision)
+    return config.gpu.kernel_launch_s + op.flops / (rate * TRSM_EFFICIENCY)

@@ -244,6 +244,23 @@ class TestLayeringImports:
         assert "dist" in finding.message
 
 
+class TestRunStatsCounting:
+    def test_counter_bumps_flagged_outside_the_executor_base(self):
+        src = """
+        self.stats.h2d_bytes += nbytes
+        prog.stats.n_gemms += 1
+        stats = self.stats
+        stats.panel_flops += flops
+        info.n_panels += 1
+        stats.makespan = 3.0
+        """
+        for parts in (("execution", "sim.py"), ("dist", "placement.py")):
+            assert rules(src, parts=parts) == ["runstats-counting"] * 3, parts
+        assert rules(src, parts=("execution", "base.py")) == []
+        waived = "prog.stats.h2d_bytes += n  # lint: allow[runstats-counting] split"
+        assert rules(waived, parts=("dist", "placement.py")) == []
+
+
 class TestWaivers:
     def test_same_line_waiver_suppresses(self):
         src = "raise ValueError('x')  # lint: allow[reproerror-raises]"

@@ -477,3 +477,19 @@ class TestPlanVerification:
         assert report.ok
         assert report.peak_bytes > 0
         assert report.n_ops > 0
+
+    @pytest.mark.parametrize("blocksize", [128, 256, 512])
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    def test_single_panel_qr_plans_are_clean(self, method, blocksize):
+        """Regression: with b >= n the recursive run is one leaf panel, whose
+        full b-by-b R writeback the §3.2 D2H bound used to leave out — a
+        valid 256x256 job failed admission with volume-over-model."""
+        spec = JobSpec(
+            "qr", ((256, 256),), method=method, mode="sim",
+            options=QrOptions(blocksize=blocksize),
+        )
+        with FactorService() as svc:
+            report = svc.verify_job(spec)
+        assert report.ok, report.findings
+        assert report.volume_model == method
+        assert report.d2h_bytes <= report.model_d2h_bytes
