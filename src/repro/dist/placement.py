@@ -198,10 +198,12 @@ def partition_graph(
        buffer's home (buffer affinity — a buffer's home is the device of
        its first toucher, or a *pin* entry mapping the buffer's name to
        a device). Affinity wins over data ownership because the task
-       graph gives every conflicting access pair a *direct* edge:
-       keeping all touches of a buffer on one device means every
-       same-device hazard pair keeps its edge, so the per-device race
-       proof stays sound without projecting cross-device ordering.
+       graph orders every conflicting access pair of a buffer by a
+       path of edges between tasks touching that buffer (a direct
+       edge, or one through the write that covered the earlier
+       access): keeping all touches of a buffer on one device keeps
+       every such path on that device, so the per-device race proof
+       stays sound without projecting cross-device ordering.
        Pinning covers the broadcast-consumer case — a scratch buffer
        whose first touch *reads another device's staged data* (e.g. a
        TSQR pushdown factor) and must still live with its consumer;

@@ -50,7 +50,7 @@ from repro.execution.numeric import NumericExecutor
 from repro.host.tiled import HostRegion
 from repro.obs.clock import monotonic as _monotonic
 from repro.sim.ops import EngineKind, SimOp
-from repro.util.regions import host_regions_conflict
+from repro.util.regions import RegionIndex
 
 #: Per-dependency wait budget. A correct program never hits this (the
 #: dependency graph is acyclic by construction); it exists to fail loudly
@@ -91,8 +91,8 @@ class ConcurrentNumericExecutor(NumericExecutor):
         }
         self._task_of: dict[SimOp, _Task] = {}
         self._inflight: list[_Task] = []
-        #: Host-coherence log: id(HostMatrix) -> [(task, region, is_write)].
-        self._host_log: dict[int, list[tuple[_Task, HostRegion, bool]]] = {}
+        #: Host-coherence index over id(HostMatrix); retired tasks drop out.
+        self._host_index = RegionIndex(retired=lambda t: t.done.is_set())
         #: Allocation handle -> tasks touching that device buffer.
         self._buffer_pending: dict[int, list[_Task]] = {}
         self._failure: BaseException | None = None
@@ -151,18 +151,14 @@ class ConcurrentNumericExecutor(NumericExecutor):
     # -- dispatch ----------------------------------------------------------------
 
     def _host_deps(
-        self, regions: tuple[HostRegion, ...], write: bool, deps: list[_Task]
-    ) -> None:
-        """Collect execution deps on earlier ops touching conflicting host
-        regions, then log *regions* for later conflict checks."""
+        self, task: _Task, regions: tuple[HostRegion, ...], write: bool
+    ) -> list[_Task]:
+        """Log *task*'s host *regions*; return the in-flight tasks whose
+        logged regions conflict with them."""
+        deps: list[_Task] = []
         for region in regions:
-            key = id(region.matrix)
-            log = self._host_log.setdefault(key, [])
-            live = [entry for entry in log if not entry[0].done.is_set()]
-            for task, other, other_write in live:
-                if (write or other_write) and host_regions_conflict(region, other):
-                    deps.append(task)
-            self._host_log[key] = live
+            deps += self._host_index.add_host(task, region, write)
+        return deps
 
     def _issue(
         self,
@@ -181,10 +177,11 @@ class ConcurrentNumericExecutor(NumericExecutor):
                 self._obs_t0 = self.obs.now()
         assert self.program is not None
         self.program.append(op, stream)
+        task = _Task(op=op, body=body, deps=())
         deps = [self._task_of[d] for d in op.deps if d in self._task_of]
-        self._host_deps(host_reads, False, deps)
-        self._host_deps(host_writes, True, deps)
-        task = _Task(op=op, body=body, deps=tuple(dict.fromkeys(deps)))
+        deps += self._host_deps(task, host_reads, False)
+        deps += self._host_deps(task, host_writes, True)
+        task.deps = tuple(d for d in dict.fromkeys(deps) if d is not task)
         if self.obs.enabled:
             task.obs_parent = self.obs.current_id()
             task.obs_stream = stream
@@ -217,7 +214,7 @@ class ConcurrentNumericExecutor(NumericExecutor):
         # already-satisfied), so drop the bookkeeping.
         self._inflight.clear()
         self._task_of.clear()
-        self._host_log.clear()
+        self._host_index.clear()
         self._buffer_pending.clear()
         self._raise_failure()
 

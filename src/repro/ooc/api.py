@@ -82,7 +82,8 @@ def _execute_gemm_graph(ex, config, mode, concurrency) -> Trace | None:
     """Schedule the recorded GEMM task graph (runtime='dag' back half)."""
     from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
 
-    graph = ex.graph
+    # Take the recording from the builder (see qr.api._execute_qr_graph).
+    graph, ex.graph = ex.graph, None
     if mode == "sim":
         return SimGraphBackend(config).run(graph)
     backend = NumericGraphBackend(config)

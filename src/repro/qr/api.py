@@ -119,7 +119,11 @@ def _execute_qr_graph(
     """Schedule the recorded QR task graph (runtime='dag' back half)."""
     from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
 
-    graph = ex.graph
+    # Take the recording from the builder: the task bodies reference the
+    # builder, so a builder that kept the graph would form a reference
+    # cycle holding the graph, and every host array it touches, until the
+    # cyclic collector runs.
+    graph, ex.graph = ex.graph, None
     graph.volume_hint = (
         method, host_a.rows, host_a.cols, min(options.blocksize, host_a.cols)
     )

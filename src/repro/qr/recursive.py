@@ -336,4 +336,10 @@ def _recursive_qr_body(ex, a, r, options, m, n, b, info, s, scope,
 
         recurse(mid, wr)
 
-    recurse(0, n)
+    try:
+        recurse(0, n)
+    finally:
+        # recurse reaches itself through its closure cell: clearing the
+        # cell breaks that reference cycle, which would otherwise keep ex
+        # and the host matrices alive until the cyclic collector runs
+        del recurse

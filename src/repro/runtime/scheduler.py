@@ -20,11 +20,12 @@ graph raises :class:`~repro.errors.DeadlockError` immediately instead of
 hanging; a stalled threaded run (a bug, or a starved worker pool) times
 out into the same error rather than deadlocking the interpreter.
 
-Determinism: every pair of conflicting tasks is connected by a direct
-dataflow edge (see :mod:`repro.runtime.task`), so tasks that can run
-concurrently touch disjoint data. Results are therefore bitwise
-independent of worker count, steal order, and lookahead depth — the
-property the scheduler suite asserts.
+Determinism: every pair of conflicting tasks is ordered by a path of
+dataflow edges (see :mod:`repro.runtime.task`; the happens-before closure
+is that of direct all-pairs wiring), so tasks that can run concurrently
+touch disjoint data. Results are therefore bitwise independent of worker
+count, steal order, and lookahead depth — the property the scheduler
+suite asserts.
 """
 
 from __future__ import annotations

@@ -7,10 +7,14 @@ imperatively against streams and events, an engine run is *recorded* as a
 :class:`TaskGraph` (by :class:`~repro.runtime.builder.GraphBuilder`) whose
 dependency edges are derived purely from declared data accesses:
 
-* **device dataflow** — a task depends on every earlier task whose device
-  access overlaps one of its own with at least one writer (the same
-  conflict predicate the race detector applies, so by construction every
-  hazard pair carries a direct edge);
+* **device dataflow** — a task depends on the earlier tasks whose device
+  accesses overlap one of its own with at least one writer (the same
+  conflict predicate the race detector applies) and are still live in
+  the buffer's :class:`~repro.util.regions.RegionIndex`: a write drops
+  the entries it fully covers, so per element only the last writer and
+  the readers since are kept. Every hazard pair is therefore ordered by
+  a *path* of edges — a direct one, or one through the covering write —
+  and the happens-before closure equals that of all-pairs wiring;
 * **host coherence** — the same rule over declared host-region reads and
   writes (spill/reload round trips through host staging are ordered
   without any host-side blocking);
@@ -38,7 +42,7 @@ from repro.errors import DeadlockError
 from repro.execution.base import DeviceBuffer, RunStats
 from repro.host.tiled import HostRegion
 from repro.sim.ops import EngineKind, OpKind, SimOp
-from repro.util.regions import accesses_conflict, host_regions_conflict
+from repro.util.regions import RegionIndex, accesses_conflict
 
 #: Device access record: ``(handle, row0, row1, col0, col1, is_write)`` —
 #: identical to :data:`repro.sim.scheduler.DeviceAccess`.
@@ -109,9 +113,9 @@ class TaskGraph:
         #: §3.2 volume model hint ``(model, m, n, b)``; see CapturedProgram.
         self.volume_hint: tuple[str, int, int, int] | None = None
         self._ops: list[SimOp] = []
-        # dataflow wiring state: per-buffer and per-host-matrix access logs
-        self._device_log: dict[int, list[tuple[TileTask, Access]]] = {}
-        self._host_log: dict[int, list[tuple[TileTask, HostRegion, bool]]] = {}
+        # dataflow wiring state: live accesses per buffer and per host matrix
+        self._device_index = RegionIndex()
+        self._host_index = RegionIndex()
         self._last_mem: TileTask | None = None
 
     # -- protocol ---------------------------------------------------------------
@@ -142,22 +146,10 @@ class TaskGraph:
                 task.op.deps.add(dep.op)
 
     def _device_deps(self, task: TileTask, access: Access) -> list[TileTask]:
-        log = self._device_log.setdefault(access[0], [])
-        deps = [t for t, other in log if accesses_conflict(access, other)]
-        log.append((task, access))
-        return deps
-
-    def _host_deps(
-        self, task: TileTask, region: HostRegion, write: bool
-    ) -> list[TileTask]:
-        log = self._host_log.setdefault(id(region.matrix), [])
-        deps = [
-            t
-            for t, other, other_write in log
-            if (write or other_write) and host_regions_conflict(region, other)
-        ]
-        log.append((task, region, write))
-        return deps
+        return self._device_index.add(
+            task, access[0], (access[1], access[2]), (access[3], access[4]),
+            access[5],
+        )
 
     def add_op(
         self,
@@ -184,9 +176,9 @@ class TaskGraph:
         for access in task.accesses:
             deps.extend(self._device_deps(task, access))
         for region in host_reads:
-            deps.extend(self._host_deps(task, region, False))
+            deps.extend(self._host_index.add_host(task, region, False))
         for region in host_writes:
-            deps.extend(self._host_deps(task, region, True))
+            deps.extend(self._host_index.add_host(task, region, True))
         self._link(task, deps)
         self.tasks.append(task)
         self._ops.append(op)

@@ -1,12 +1,13 @@
-"""Shared rectangle/interval overlap predicates.
+"""Shared rectangle/interval overlap predicates and the region index.
 
 One definition of "two regions overlap" serves every consumer — the
-dynamic race detector (:mod:`repro.sim.race`), the concurrent executor's
-host-coherence edges (:mod:`repro.execution.concurrent`), the task-graph
-dependency wiring (:mod:`repro.runtime.task`), the placement pass's
-edge payloads (:mod:`repro.dist.placement`) and the static plan verifier
-(:mod:`repro.analysis.verify`) — so they can never disagree about what
-constitutes a conflict.
+dynamic race detector (:mod:`repro.sim.race`), the placement pass's
+edge payloads (:mod:`repro.dist.placement`), the static plan verifier
+(:mod:`repro.analysis.verify`) and :class:`RegionIndex`, which derives
+the ordering edges of the task graph (:mod:`repro.runtime.task`) and of
+the concurrent executor's host coherence
+(:mod:`repro.execution.concurrent`) — so they can never disagree about
+what constitutes a conflict.
 
 The predicates are strict about degenerate regions: a zero-size interval
 (``lo == hi``) occupies no elements and therefore overlaps nothing, and
@@ -17,6 +18,8 @@ overlap; requiring both intervals to be non-empty fixes that.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Hashable
 
 
 def intervals_overlap(a0: int, a1: int, b0: int, b1: int) -> bool:
@@ -44,13 +47,10 @@ def rects_overlap(
     )
 
 
-# -- access records and host regions ---------------------------------------------
+# -- access records ---------------------------------------------------------------
 #
 # A device access is ``(handle, row0, row1, col0, col1, is_write)`` (see
-# :func:`repro.sim.scheduler.device_access`); a host region is anything
-# with ``matrix``/``row0``/``row1``/``col0``/``col1`` (a
-# :class:`~repro.host.tiled.HostRegion`). These stay plain module-level
-# functions: the task-graph builder calls them in its hot loop.
+# :func:`repro.sim.scheduler.device_access`).
 
 
 def accesses_conflict(a: tuple, b: tuple) -> bool:
@@ -59,16 +59,6 @@ def accesses_conflict(a: tuple, b: tuple) -> bool:
     if a[0] != b[0] or not (a[5] or b[5]):
         return False
     return rects_overlap((a[1], a[2]), (a[3], a[4]), (b[1], b[2]), (b[3], b[4]))
-
-
-def host_regions_conflict(a, b) -> bool:
-    """Two rectangles of the same host matrix overlap (callers decide
-    whether a writer is involved)."""
-    if a.matrix is not b.matrix:
-        return False
-    return rects_overlap(
-        (a.row0, a.row1), (a.col0, a.col1), (b.row0, b.row1), (b.col0, b.col1)
-    )
 
 
 def overlap_elements(
@@ -81,3 +71,99 @@ def overlap_elements(
     rows = min(a_rows[1], b_rows[1]) - max(a_rows[0], b_rows[0])
     cols = min(a_cols[1], b_cols[1]) - max(a_cols[0], b_cols[0])
     return rows * cols if rows > 0 and cols > 0 else 0
+
+
+class RegionIndex:
+    """The live accesses of each resource, for deriving ordering edges.
+
+    :meth:`add` logs one rectangle access of a resource (a device buffer
+    handle, a host matrix id) by an *owner* (a task) and returns the
+    owners of the earlier logged accesses it conflicts with: same
+    resource, overlapping rectangles (:func:`rects_overlap`), at least
+    one writer — the rule of :func:`accesses_conflict`, for device
+    buffers and host matrices alike. Ordering each access after those
+    owners orders every conflicting pair by a *path* of edges, not
+    always a direct one, because the log is pruned by two rules:
+
+    * **write shadowing** — once a write W has collected its owners,
+      every logged entry W fully covers is dropped. Any later access
+      that conflicts with a dropped entry overlaps W, which writes, so
+      it conflicts with W (or with the write that in turn shadowed W)
+      and W already follows the dropped entry: the happens-before
+      closure is unchanged and only transitively implied edges vanish.
+      What stays logged is, per element, the last writer and the
+      readers since — the bookkeeping of tiled-DAG runtimes (Buttari et
+      al.);
+    * **retirement** — with a ``retired`` predicate, entries whose owner
+      has already completed are dropped as they are met: an edge to a
+      finished task orders nothing.
+
+    Entries are keyed per resource by their column interval, so a query
+    scans only the keys whose columns overlap its own. An empty
+    rectangle occupies no elements: it conflicts with nothing and is not
+    logged. Owners are returned in logging order (earliest first), once
+    per conflicting entry.
+    """
+
+    def __init__(self, retired: Callable[[object], bool] | None = None):
+        self._retired = retired
+        # resource -> (col0, col1) -> [(seq, owner, row0, row1, write)]
+        self._logs: dict[Hashable, dict[tuple[int, int], list[tuple]]] = {}
+        self._seq = 0
+
+    def add(
+        self,
+        owner: object,
+        resource: Hashable,
+        rows: tuple[int, int],
+        cols: tuple[int, int],
+        write: bool,
+    ) -> list:
+        """Log *owner*'s access to ``rows x cols`` of *resource* and
+        return the owners of the logged accesses it conflicts with."""
+        r0, r1 = rows
+        c0, c1 = cols
+        if r0 >= r1 or c0 >= c1:
+            return []
+        keys = self._logs.setdefault(resource, {})
+        retired = self._retired
+        hits: list[tuple[int, object]] = []
+        emptied: list[tuple[int, int]] = []
+        for key, log in keys.items():
+            if not intervals_overlap(key[0], key[1], c0, c1):
+                continue
+            shadows = write and c0 <= key[0] and key[1] <= c1
+            kept = []
+            for entry in log:
+                seq, other, e0, e1, other_write = entry
+                if retired is not None and retired(other):
+                    continue
+                # logged and queried rows are non-empty, so this is
+                # intervals_overlap without the emptiness tests
+                if (write or other_write) and e0 < r1 and r0 < e1:
+                    hits.append((seq, other))
+                    if shadows and r0 <= e0 and e1 <= r1:
+                        continue
+                kept.append(entry)
+            log[:] = kept
+            if not kept:
+                emptied.append(key)
+        for key in emptied:
+            del keys[key]
+        keys.setdefault((c0, c1), []).append((self._seq, owner, r0, r1, write))
+        self._seq += 1
+        hits.sort()  # by logging order: sequence numbers are unique
+        return [other for _, other in hits]
+
+    def add_host(self, owner: object, region, write: bool) -> list:
+        """:meth:`add` for a host region (anything with ``matrix`` /
+        ``row0`` / ``row1`` / ``col0`` / ``col1``, e.g. a
+        :class:`~repro.host.tiled.HostRegion`), keyed by its matrix."""
+        return self.add(
+            owner, id(region.matrix), (region.row0, region.row1),
+            (region.col0, region.col1), write,
+        )
+
+    def clear(self) -> None:
+        """Forget every logged access."""
+        self._logs.clear()

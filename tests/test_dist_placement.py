@@ -90,6 +90,62 @@ class TestTransfers:
         leader 0, so bytes must flow on the (2, 0) link."""
         assert placement.link_bytes().get((2, 0), 0) > 0
 
+    def test_no_transfer_carries_overwritten_data(self, placement):
+        """A transfer moves what its consumer reads of the producer's
+        writes. If a later write that happens before the consumer covers
+        all of that, the consumer reads the later write's data instead and
+        the transfer would move dead bytes."""
+        tasks = placement.graph.tasks
+        before: list[int] = []  # bitmask of the tasks that happen before i
+        for i, task in enumerate(tasks):
+            mask = 1 << i
+            for dep in task.deps:
+                mask |= before[dep.task_id]
+            before.append(mask)
+        for xfer in placement.transfers:
+            payload = [
+                rect
+                for rect in _rects(xfer.producer, writes_only=True)
+                if any(_overlap(rect, other) for other in _rects(xfer.consumer))
+            ]
+            assert payload, xfer.name
+            for later in tasks[xfer.producer.task_id + 1 : xfer.consumer.task_id]:
+                if not before[xfer.consumer.task_id] >> later.task_id & 1:
+                    continue
+                written = _rects(later, writes_only=True)
+                assert not all(
+                    any(_covers(w, rect) for w in written) for rect in payload
+                ), f"{xfer.name} is overwritten by {later.name}"
+
+
+def _rects(task, *, writes_only=False):
+    """``(resource, row0, row1, col0, col1)`` of the regions a task
+    touches (or writes)."""
+    out = [
+        (("dev", acc[0]), *acc[1:5])
+        for acc in task.accesses
+        if acc[5] or not writes_only
+    ]
+    host = task.host_writes if writes_only else (*task.host_reads, *task.host_writes)
+    out += [
+        (("host", id(r.matrix)), r.row0, r.row1, r.col0, r.col1) for r in host
+    ]
+    return out
+
+
+def _overlap(a, b) -> bool:
+    return (
+        a[0] == b[0] and max(a[1], b[1]) < min(a[2], b[2])
+        and max(a[3], b[3]) < min(a[4], b[4])
+    )
+
+
+def _covers(outer, inner) -> bool:
+    return (
+        outer[0] == inner[0] and outer[1] <= inner[1] and inner[2] <= outer[2]
+        and outer[3] <= inner[3] and inner[4] <= outer[4]
+    )
+
 
 class TestVerification:
     def test_every_device_program_verifies(self, placement):

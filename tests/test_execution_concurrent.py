@@ -157,6 +157,47 @@ class TestExecutorSemantics:
             sex.free(buf)
         assert np.array_equal(host.data, ref.data)
 
+    def test_reload_waits_for_writeback_on_another_stream(self, rng):
+        # A D2H writeback on one stream, then an H2D reload of the same
+        # host region on another with no event between them: only the
+        # executor's host-coherence edge orders the reload after the
+        # writeback. The writeback sits behind slow GEMMs on its stream,
+        # so an unordered reload would read the stale staging zeros.
+        config = SystemConfig(
+            gpu=make_tiny_spec(64 << 20), precision=Precision.FP32
+        )
+        ex = ConcurrentNumericExecutor(config)
+        try:
+            a = rng.standard_normal((16, 16)).astype(np.float32)
+            src = HostMatrix.from_array(a.copy(), name="src")
+            staging = HostMatrix.zeros(16, 16, name="staging")
+            out = HostMatrix.zeros(16, 16, name="out")
+            big = HostMatrix.from_array(
+                rng.standard_normal((512, 512)).astype(np.float32), name="big"
+            )
+            x = ex.alloc(512, 512, "x")
+            y = ex.alloc(512, 512, "y")
+            buf = ex.alloc(16, 16, "buf")
+            reload = ex.alloc(16, 16, "reload")
+            s1, s2 = ex.stream("s1"), ex.stream("s2")
+            ex.h2d(x, big.full(), s1)
+            ex.h2d(buf, src.full(), s1)
+            for _ in range(8):
+                ex.gemm(y, x, x, s1)
+            ex.d2h(staging.full(), buf, s1)
+            writeback = ex._task_of[ex.program.ops[-1]]
+            ex.h2d(reload, staging.full(), s2)
+            reloaded = ex._task_of[ex.program.ops[-1]]
+            assert writeback in reloaded.deps
+            ex.d2h(out.full(), reload, s2)
+            ex.synchronize()
+            assert np.array_equal(out.data, a)
+            for b in (x, y, buf, reload):
+                ex.free(b)
+            ex.allocator.check_balanced()
+        finally:
+            ex.close()
+
 
 class TestEnginesRaceFree:
     """Every OOC engine, run threaded: bitwise-correct and race-free."""

@@ -1,5 +1,7 @@
 """Tests for the public ooc_qr entry point."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ class TestNumericMode:
         res = ooc_qr(a, method="blocking", config=config, blocksize=16)
         assert res.method == "blocking"
         assert factorization_error(a, res.q, res.r) < 1e-4
+
+    @pytest.mark.parametrize("runtime", ["legacy", "dag"])
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    def test_call_leaves_no_reference_cycles(self, config, method, runtime):
+        # the host working copy and R must be freed as soon as the caller
+        # drops the result, not whenever the cyclic collector next runs
+        a = random_tall(96, 64, seed=23)
+        ooc_qr(a, method=method, config=config, blocksize=16, runtime=runtime)
+        gc.collect()
+        gc.disable()
+        try:
+            ooc_qr(a, method=method, config=config, blocksize=16, runtime=runtime)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSimMode:
