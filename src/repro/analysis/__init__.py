@@ -1,36 +1,19 @@
 """Static analysis: plan verifier and repo lint pack.
 
 Proves OOC pipelines race-free, leak-free, and within the device-memory
-budget *before* they run. :mod:`repro.analysis.capture` records an
-engine's op stream symbolically (no data, no clock);
-:mod:`repro.analysis.verify` runs happens-before hazard analysis,
-allocator lifetime proofs, exact peak-memory accounting, and §3.2
-transfer-volume checks over the captured program;
-:mod:`repro.analysis.engines` sweeps every shipped engine configuration;
-:mod:`repro.analysis.precision` is the static precision / error-flow pass
-(per-tile precision lattice + symbolic forward-error bound, judged
-against a caller tolerance); :mod:`repro.analysis.lint` is the AST-based
-repo lint pack behind ``tools/lint_repro.py``. See docs/analysis.md.
-
-:func:`verify_program` also accepts a first-class
-:class:`~repro.runtime.task.TaskGraph` from the DAG runtime directly —
-see :mod:`repro.runtime` (its ``verify_engine_graph`` /
-``verify_all_engine_graphs`` mirror the capture sweep; the runtime module
-imports this package, so the graph sweep lives there to keep the
-dependency one-way). See docs/runtime.md.
+budget *before* they run. :mod:`repro.analysis.verify` runs
+happens-before hazard analysis, allocator lifetime proofs, exact
+peak-memory accounting, and §3.2 transfer-volume checks over a recorded
+program — a :class:`~repro.runtime.task.TaskGraph` built with no data and
+no clock (see :mod:`repro.runtime.engines` for the engine registry and
+sweep; the runtime imports this package, so the sweep lives there to keep
+the dependency one-way). :mod:`repro.analysis.precision` is the static
+precision / error-flow pass (per-tile precision lattice + symbolic
+forward-error bound, judged against a caller tolerance);
+:mod:`repro.analysis.lint` is the AST-based repo lint pack behind
+``tools/lint_repro.py``. See docs/analysis.md.
 """
 
-from repro.analysis.capture import CapturedProgram, CaptureExecutor, MemEvent
-from repro.analysis.engines import (
-    ENGINE_CAPTURES,
-    capture_cholesky,
-    capture_gemm,
-    capture_job,
-    capture_lu,
-    capture_qr,
-    verify_all_engines,
-    verify_engine,
-)
 from repro.analysis.precision import (
     DEFAULT_TOLERANCE,
     PRECISION_LEVELS,
@@ -52,28 +35,17 @@ from repro.analysis.verify import (
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "ENGINE_CAPTURES",
     "PRECISION_LEVELS",
     "PRECISION_RULES",
     "VOLUME_SLACK",
     "AnalysisFinding",
     "AnalysisReport",
-    "CaptureExecutor",
-    "CapturedProgram",
-    "MemEvent",
     "PrecisionFlow",
     "PrecisionPlan",
     "assert_plan_ok",
     "assert_precision_ok",
-    "capture_cholesky",
-    "capture_gemm",
-    "capture_job",
-    "capture_lu",
-    "capture_qr",
     "check_precision",
     "exact_peak_bytes",
     "propagate",
-    "verify_all_engines",
-    "verify_engine",
     "verify_program",
 ]

@@ -1,21 +1,23 @@
-"""Static verification passes over captured OOC programs and task DAGs.
+"""Static verification passes over recorded OOC programs.
 
-The passes consume the *program protocol* — ``config`` / ``ops`` /
-``mem_events`` / ``stats`` / ``label`` / ``volume_hint`` — and therefore
-accept two producers interchangeably: a
-:class:`~repro.analysis.capture.CapturedProgram` (flat op stream recorded
-by the capture executor) and a first-class
-:class:`~repro.runtime.task.TaskGraph` emitted by the DAG runtime's
-:class:`~repro.runtime.builder.GraphBuilder` — no capture pass in
-between; the graph's derived dataflow edges *are* the happens-before
-relation the hazard pass checks. The passes prove (or refute) the
-properties a plan must have *before* it is worth running:
+The passes consume the *program protocol* (:class:`Program`: ``config``
+/ ``ops`` / ``mem_events`` / ``stats`` / ``label`` / ``volume_hint``).
+Its producers are the :class:`~repro.runtime.task.TaskGraph` that
+:class:`~repro.runtime.builder.GraphBuilder` records from a data-free
+engine run, and the per-device slices of one
+(:class:`~repro.dist.placement.DeviceProgram`). A graph's ``op.deps``
+carry the issued stream-FIFO/event order (what the legacy executors and
+the simulator run) and its ``task.deps`` the derived dataflow (what the
+DAG scheduler runs); the hazard pass checks both. The passes prove (or
+refute) the properties a plan must have *before* it is worth running:
 
 * :func:`check_hazards` — happens-before hazard analysis: two ops touching
-  overlapping device regions, at least one writing, with no stream-FIFO or
-  event path between them, constitute a race under some legal schedule.
-  Shares its core (:func:`repro.sim.race.find_hazards`) and its overlap
-  predicate (:mod:`repro.util.regions`) with the dynamic trace detector.
+  overlapping device regions, at least one writing, with no dependency
+  path between them, constitute a race under some legal schedule. A
+  task graph is checked under its issued order and under its dataflow;
+  a race in either is a finding. Shares its core
+  (:func:`repro.sim.race.find_hazards`) and its overlap predicate
+  (:mod:`repro.util.regions`) with the dynamic trace detector.
 * :func:`check_lifetimes` — allocator lifetime proofs: leaks (allocations
   never freed), double frees, and use-after-free (an op whose access
   window opens after its buffer's free), each naming the offending op or
@@ -24,10 +26,10 @@ properties a plan must have *before* it is worth running:
   event log and compare the high-water mark against the budget. This is
   the number :mod:`repro.serve` admission charges in place of its plan
   heuristic.
-* :func:`check_transfer_volume` — compare captured H2D/D2H volumes against
+* :func:`check_transfer_volume` — compare recorded H2D/D2H volumes against
   the §3.2 closed forms (blocking Θ(k·mn), recursive Θ(log k·mn)). The
   models are *no-reuse worst cases*, so a healthy engine stays below
-  ``VOLUME_SLACK`` times the model; a captured volume above that bound
+  ``VOLUME_SLACK`` times the model; a recorded volume above that bound
   means the engine regressed past the paper's accounting. QR engines must
   additionally load every input element at least once (``m·n`` words).
 * :func:`check_redundant_transfers` — dead-transfer detection: an H2D that
@@ -44,15 +46,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Protocol
 
-from repro.analysis.capture import CapturedProgram, MemEvent
+from repro.config import SystemConfig
 from repro.errors import PlanViolation
+from repro.execution.base import RunStats
 from repro.models.movement import (
     blocking_d2h_words,
     blocking_h2d_words,
     recursive_d2h_words,
     recursive_h2d_words,
 )
+from repro.sim.memory import MemEvent
 from repro.sim.ops import OpKind, SimOp
 from repro.sim.race import find_hazards
 from repro.util.regions import rects_overlap
@@ -65,12 +70,26 @@ from repro.util.regions import rects_overlap
 VOLUME_SLACK = 1.25
 
 
+class Program(Protocol):
+    """What the passes read from a recorded program."""
+
+    config: SystemConfig
+    label: str
+    #: Issue-ordered ops; device accesses in ``tags["accesses"]``.
+    ops: list[SimOp]
+    #: Allocator log positioned against ``ops``.
+    mem_events: list[MemEvent]
+    stats: RunStats
+    #: ``(model, m, n, b)`` §3.2 volume model, or None (no closed form).
+    volume_hint: tuple[str, int, int, int] | None
+
+
 @dataclass(frozen=True)
 class AnalysisFinding:
-    """One violation a verification pass proved about a captured program."""
+    """One violation a verification pass proved about a recorded program."""
 
     rule: str        # "race" | "leak" | "double-free" | "use-after-free" |
-                     # "over-capacity" | "peak-over-budget" |
+                     # "peak-over-budget" |
                      # "volume-over-model" | "volume-under-floor" |
                      # "redundant-h2d"
     message: str
@@ -84,7 +103,7 @@ class AnalysisFinding:
 
 @dataclass
 class AnalysisReport:
-    """Everything the verifier proved about one captured program."""
+    """Everything the verifier proved about one recorded program."""
 
     label: str
     n_ops: int = 0
@@ -142,8 +161,17 @@ class AnalysisReport:
 # -- happens-before hazards ------------------------------------------------------
 
 
-def check_hazards(program: CapturedProgram) -> list[AnalysisFinding]:
-    """Unordered conflicting device accesses (races under *some* schedule)."""
+def check_hazards(program: Program) -> list[AnalysisFinding]:
+    """Unordered conflicting device accesses (races under *some* schedule).
+
+    ``program.ops`` is checked under its ``deps``; a task graph is also
+    checked under its dataflow
+    (:meth:`~repro.runtime.task.TaskGraph.dataflow_order`). A pair left
+    unordered by either relation is a race.
+    """
+    from repro.runtime.task import TaskGraph
+
+    orders = [program.dataflow_order()] if isinstance(program, TaskGraph) else []
     return [
         AnalysisFinding(
             rule="race",
@@ -154,14 +182,14 @@ def check_hazards(program: CapturedProgram) -> list[AnalysisFinding]:
             ),
             op=race.op_b.name,
         )
-        for race in find_hazards(program.ops)
+        for race in find_hazards(program.ops, *orders)
     ]
 
 
 # -- allocator lifetime proofs ----------------------------------------------------
 
 
-def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
+def check_lifetimes(program: Program) -> list[AnalysisFinding]:
     """Leaks, double frees and use-after-free, each naming its culprit."""
     findings: list[AnalysisFinding] = []
     alloc_at: dict[int, int] = {}
@@ -171,7 +199,7 @@ def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
         names.setdefault(ev.handle, ev.name or f"handle {ev.handle}")
         if ev.kind == "alloc":
             alloc_at[ev.handle] = ev.position
-        elif ev.handle in freed_at and not ev.ok:
+        elif ev.handle in freed_at:
             findings.append(
                 AnalysisFinding(
                     rule="double-free",
@@ -183,7 +211,7 @@ def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
                     op=f"free {names[ev.handle]}",
                 )
             )
-        elif not ev.ok:
+        elif ev.handle not in alloc_at:
             findings.append(
                 AnalysisFinding(
                     rule="double-free",
@@ -233,7 +261,7 @@ def check_lifetimes(program: CapturedProgram) -> list[AnalysisFinding]:
 # -- exact peak device memory ------------------------------------------------------
 
 
-def exact_peak_bytes(program: CapturedProgram) -> int:
+def exact_peak_bytes(program: Program) -> int:
     """The program's exact high-water mark of live device bytes.
 
     Replays the memory-event log: every alloc raises the watermark by its
@@ -256,7 +284,7 @@ def exact_peak_bytes(program: CapturedProgram) -> int:
 
 
 def check_memory(
-    program: CapturedProgram, budget_bytes: int
+    program: Program, budget_bytes: int
 ) -> tuple[int, list[AnalysisFinding]]:
     """Exact peak vs *budget_bytes*; returns ``(peak, findings)``."""
     findings: list[AnalysisFinding] = []
@@ -294,9 +322,9 @@ def check_memory(
 
 
 def check_transfer_volume(
-    program: CapturedProgram, report: AnalysisReport
+    program: Program, report: AnalysisReport
 ) -> list[AnalysisFinding]:
-    """Captured H2D/D2H volume vs the §3.2 closed-form worst case.
+    """Recorded H2D/D2H volume vs the §3.2 closed-form worst case.
 
     Applies the model named by ``program.volume_hint``; fills the model
     fields of *report* and appends a skip note when the shape does not
@@ -337,17 +365,17 @@ def check_transfer_volume(
     report.model_d2h_bytes = int(d2h_model * eb)
 
     findings: list[AnalysisFinding] = []
-    for direction, captured, bound in (
+    for direction, moved, bound in (
         ("H2D", program.stats.h2d_bytes, h2d_model * eb),
         ("D2H", program.stats.d2h_bytes, d2h_model * eb),
     ):
         limit = VOLUME_SLACK * bound
-        if captured > limit:
+        if moved > limit:
             findings.append(
                 AnalysisFinding(
                     rule="volume-over-model",
                     message=(
-                        f"{direction} volume {captured} B exceeds "
+                        f"{direction} volume {moved} B exceeds "
                         f"{VOLUME_SLACK} x the §3.2 {model} model "
                         f"({bound:.0f} B): the engine moves asymptotically "
                         f"more data than the paper's accounting allows"
@@ -359,9 +387,9 @@ def check_transfer_volume(
 
 
 def check_volume_floor(
-    program: CapturedProgram, floor_words: int
+    program: Program, floor_words: int
 ) -> list[AnalysisFinding]:
-    """Captured H2D volume must load at least *floor_words* elements."""
+    """Recorded H2D volume must load at least *floor_words* elements."""
     eb = program.config.element_bytes
     if program.stats.h2d_bytes < floor_words * eb:
         return [
@@ -369,7 +397,7 @@ def check_volume_floor(
                 rule="volume-under-floor",
                 message=(
                     f"H2D volume {program.stats.h2d_bytes} B is below the "
-                    f"{floor_words * eb}-byte input floor: the capture "
+                    f"{floor_words * eb}-byte input floor: the program "
                     f"cannot have loaded every input element"
                 ),
                 op="h2d",
@@ -401,7 +429,7 @@ def _writes_host_region(
     return rects_overlap((host[1], host[2]), (host[3], host[4]), rect[:2], rect[2:])
 
 
-def check_redundant_transfers(program: CapturedProgram) -> list[AnalysisFinding]:
+def check_redundant_transfers(program: Program) -> list[AnalysisFinding]:
     """H2D copies that are provably no-ops.
 
     An H2D is *dead* when an earlier H2D already moved the identical host
@@ -460,9 +488,7 @@ def verify_program(
     tolerance: float | None = None,
     precision=None,
 ) -> AnalysisReport:
-    """Run every applicable pass over *program* — a
-    :class:`~repro.analysis.capture.CapturedProgram` or a
-    :class:`~repro.runtime.task.TaskGraph` (checked directly as a DAG).
+    """Run every applicable pass over *program* (see :class:`Program`).
 
     ``budget_bytes`` defaults to the program config's usable device bytes
     (the capacity the engines planned against); serve admission passes its

@@ -365,15 +365,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_an.add_argument(
         "--what",
-        choices=["lint", "plans", "graphs", "precision", "all"],
+        choices=["lint", "plans", "precision", "all"],
         default="all",
-        help="run the repo lint pack, the captured-plan verifier sweep, "
-        "the DAG-runtime task-graph sweep, the precision/error-flow "
-        "sweep (split-precision plans must prove their bound, the "
-        "flat-tree fp16 negative control must be flagged), or all",
+        help="run the repo lint pack, the plan verifier sweep over every "
+        "engine's task graph, the precision/error-flow sweep "
+        "(split-precision plans must prove their bound, the flat-tree "
+        "fp16 negative control must be flagged), or all",
     )
     p_an.add_argument("-m", "--rows", type=int, default=96,
-                      help="capture shape rows (small by design: the "
+                      help="plan shape rows (small by design: the "
                       "proofs are shape-generic per §3.2)")
     p_an.add_argument("-n", "--cols", type=int, default=64)
     p_an.add_argument("-b", "--blocksize", type=int, default=16)
@@ -680,17 +680,17 @@ def _run_analyze(args) -> int:
         failures += len(findings)
 
     if args.what in ("plans", "all"):
-        from repro.analysis import ENGINE_CAPTURES, verify_engine
+        from repro.runtime import GRAPH_BUILDERS, verify_engine_graph
 
         config = _config(args)
-        if args.engine is not None and args.engine not in ENGINE_CAPTURES:
+        if args.engine is not None and args.engine not in GRAPH_BUILDERS:
             raise ValidationError(
                 f"unknown engine {args.engine!r}; available: "
-                f"{', '.join(ENGINE_CAPTURES)}"
+                f"{', '.join(GRAPH_BUILDERS)}"
             )
-        names = [args.engine] if args.engine else list(ENGINE_CAPTURES)
+        names = [args.engine] if args.engine else list(GRAPH_BUILDERS)
         for name in names:
-            report = verify_engine(
+            report = verify_engine_graph(
                 name, config, m=args.rows, n=args.cols, b=args.blocksize
             )
             print(report.summary())
@@ -703,13 +703,10 @@ def _run_analyze(args) -> int:
     if args.what in ("precision", "all"):
         from dataclasses import replace as _replace
 
-        from repro.analysis import (
-            DEFAULT_TOLERANCE,
-            ENGINE_CAPTURES,
-            verify_engine,
-        )
+        from repro.analysis import DEFAULT_TOLERANCE
         from repro.dist.sim import dist_precision_report
         from repro.hw.gemm import Precision
+        from repro.runtime import GRAPH_BUILDERS, verify_engine_graph
 
         config = _config(args)
         tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
@@ -717,14 +714,14 @@ def _run_analyze(args) -> int:
 
         # structural sweep: every engine at the config's own precision
         # (no tolerance judging — the bound is reported, not gated)
-        for name in ENGINE_CAPTURES:
-            report = verify_engine(name, config, m=m, n=n, b=b)
+        for name in GRAPH_BUILDERS:
+            report = verify_engine_graph(name, config, m=m, n=n, b=b)
             print(f"precision {report.summary()}")
 
         # positive set: the paper's split-precision recursive-QR plans
         # must prove their bound within the tolerance
         for prec in (Precision.TC_FP16_SPLIT3, Precision.TC_FP16_SPLIT4):
-            report = verify_engine(
+            report = verify_engine_graph(
                 "qr-recursive", _replace(config, precision=prec),
                 m=m, n=n, b=b, tolerance=tol,
             )
@@ -767,27 +764,6 @@ def _run_analyze(args) -> int:
                 f"tol {tol:.1e} — the pass lost its depth sensitivity"
             )
             failures += 1
-
-    if args.what in ("graphs", "all"):
-        from repro.runtime import GRAPH_BUILDERS, verify_engine_graph
-
-        config = _config(args)
-        if args.engine is not None and args.engine not in GRAPH_BUILDERS:
-            raise ValidationError(
-                f"unknown engine {args.engine!r}; available: "
-                f"{', '.join(GRAPH_BUILDERS)}"
-            )
-        names = [args.engine] if args.engine else list(GRAPH_BUILDERS)
-        for name in names:
-            report = verify_engine_graph(
-                name, config, m=args.rows, n=args.cols, b=args.blocksize
-            )
-            print(report.summary())
-            for finding in report.findings:
-                print(f"  {finding}")
-            for skip in report.skipped:
-                print(f"  skipped: {skip}")
-            failures += len(report.findings)
 
     return 1 if failures else 0
 

@@ -11,7 +11,7 @@ boundary while carrying data becomes an explicit :class:`TransferTask`
 priced by the topology's links.
 
 The output is one :class:`DeviceProgram` per device — each satisfying
-the captured-program protocol (``config`` / ``ops`` / ``mem_events`` /
+the program protocol (``config`` / ``ops`` / ``mem_events`` /
 ``stats`` / ``label`` / ``volume_hint``) — so
 :func:`repro.analysis.verify.verify_program` proves every device's
 slice race-free, leak-free and within its per-device memory budget,
@@ -22,16 +22,17 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
-from repro.analysis.capture import MemEvent
 from repro.analysis.verify import AnalysisReport, verify_program
 from repro.dist.shard import ShardedMatrix
 from repro.dist.topology import DeviceTopology
 from repro.errors import ValidationError
 from repro.execution.base import RunStats
 from repro.host.tiled import HostRegion
-from repro.runtime.task import TaskGraph, TileTask
+from repro.runtime.task import TaskGraph, TileTask, dataflow_ops
+from repro.sim.memory import MemEvent
 from repro.sim.ops import OpKind
 from repro.util.regions import overlap_elements
 
@@ -66,11 +67,12 @@ class TransferTask:
 class DeviceProgram:
     """One device's slice of a partitioned task graph.
 
-    Satisfies the captured-program protocol consumed by
+    Satisfies the program protocol consumed by
     :func:`repro.analysis.verify.verify_program`: ``ops`` keeps the
-    graph's emission order (restricted to this device) with the derived
-    dataflow deps, and ``mem_events`` are re-positioned against that
-    restricted op list.
+    graph's emission order (restricted to this device) as
+    :func:`~repro.runtime.task.dataflow_ops` clones carrying the derived
+    dataflow deps within the device, and ``mem_events`` are re-positioned
+    against that restricted op list.
     """
 
     device: int
@@ -81,9 +83,9 @@ class DeviceProgram:
     stats: RunStats = field(default_factory=RunStats)
     volume_hint: tuple[str, int, int, int] | None = None
 
-    @property
+    @cached_property
     def ops(self):
-        return [t.op for t in self.tasks if t.op is not None]
+        return dataflow_ops(self.tasks)
 
     def peak_bytes(self) -> int:
         """Exact live-byte high-water mark from the allocator log."""
@@ -331,7 +333,7 @@ def partition_graph(
             prog.mem_events.append(
                 MemEvent(
                     task.mem, handle, task.buffer.name, task.nbytes,
-                    ops_seen[d], True,
+                    ops_seen[d],
                 )
             )
             prog.tasks.append(task)

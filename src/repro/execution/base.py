@@ -11,10 +11,9 @@ panel factorizations, streams and events — and run on any backend:
 * :class:`~repro.execution.sim.SimExecutor` prices every op with
   :func:`repro.sim.simulator.price` and feeds it to the discrete-event
   simulator — timing at paper scale (131072^2 and beyond) without data;
-* :class:`~repro.analysis.capture.CaptureExecutor` records a symbolic
-  program for the static verifier (no data, no clock);
 * :class:`~repro.runtime.builder.GraphBuilder` records a tile-task graph
-  for the DAG runtime.
+  (no data, no clock when ``materialize=False``): the DAG runtime
+  executes it and the static verifier checks it.
 
 The interface is deliberately CUDA-shaped (streams order work, events
 synchronize across streams) so the pipeline code reads like the CUDA

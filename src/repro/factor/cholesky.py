@@ -231,4 +231,10 @@ def _recursive_cholesky_body(ex, a, options, n, b, info, s, panel_buf, ck):
 
         recurse(mid, wr)
 
-    recurse(0, n)
+    try:
+        recurse(0, n)
+    finally:
+        # recurse reaches itself through its closure cell (see
+        # qr.recursive): clearing it frees ex and the host matrices
+        # without waiting for the cyclic collector
+        del recurse

@@ -371,4 +371,10 @@ def _recursive_lu_body(ex, a, options, m, n, b, info, s, scope,
 
         recurse(mid, wr)
 
-    recurse(0, n)
+    try:
+        recurse(0, n)
+    finally:
+        # recurse reaches itself through its closure cell (see
+        # qr.recursive): clearing it frees ex and the host matrices
+        # without waiting for the cyclic collector
+        del recurse

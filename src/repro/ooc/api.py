@@ -78,26 +78,6 @@ def _as_operand(x, element_bytes: int, name: str) -> tuple[HostMatrix, bool]:
     )
 
 
-def _execute_gemm_graph(ex, config, mode, concurrency) -> Trace | None:
-    """Schedule the recorded GEMM task graph (runtime='dag' back half)."""
-    from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
-
-    # Take the recording from the builder (see qr.api._execute_qr_graph).
-    graph, ex.graph = ex.graph, None
-    if mode == "sim":
-        return SimGraphBackend(config).run(graph)
-    backend = NumericGraphBackend(config)
-    scheduler = DagScheduler(graph)
-    if concurrency == "threads":
-        scheduler.run_threaded(backend)
-        trace = backend.recorded_trace(graph)
-    else:
-        scheduler.run_serial(backend)
-        trace = None
-    backend.allocator.check_balanced()
-    return trace
-
-
 def ooc_gemm(
     a,
     b,
@@ -162,7 +142,7 @@ def ooc_gemm(
     runtime = one_of(runtime, ("legacy", "dag"), "runtime")
 
     if runtime == "dag":
-        from repro.runtime import GraphBuilder
+        from repro.runtime import GraphBuilder, run_recorded
 
         ex = GraphBuilder(
             config,
@@ -241,7 +221,7 @@ def ooc_gemm(
         strategy = "rowstream-outer"
 
     if runtime == "dag":
-        trace = _execute_gemm_graph(ex, config, mode, concurrency)
+        trace = run_recorded(ex, mode, concurrency)
     elif mode == "sim":
         trace = ex.finish()
     else:

@@ -113,34 +113,6 @@ def _as_host_matrix(a, element_bytes: int) -> tuple[HostMatrix, bool]:
     )
 
 
-def _execute_qr_graph(
-    ex, config, method, host_a, options, mode, concurrency, obs=NULL_RECORDER
-) -> Trace | None:
-    """Schedule the recorded QR task graph (runtime='dag' back half)."""
-    from repro.runtime import DagScheduler, NumericGraphBackend, SimGraphBackend
-
-    # Take the recording from the builder: the task bodies reference the
-    # builder, so a builder that kept the graph would form a reference
-    # cycle holding the graph, and every host array it touches, until the
-    # cyclic collector runs.
-    graph, ex.graph = ex.graph, None
-    graph.volume_hint = (
-        method, host_a.rows, host_a.cols, min(options.blocksize, host_a.cols)
-    )
-    if mode == "sim":
-        return SimGraphBackend(config).run(graph)
-    backend = NumericGraphBackend(config, obs=obs)
-    scheduler = DagScheduler(graph)
-    if concurrency == "threads":
-        scheduler.run_threaded(backend)
-        trace = backend.recorded_trace(graph)
-    else:
-        scheduler.run_serial(backend)
-        trace = None
-    backend.allocator.check_balanced()
-    return trace
-
-
 def _hybrid_qr(host_a, method, config, options, obs) -> QrResult:
     """``mode="hybrid"``: the numeric run, then a data-free sim run of the
     same shape and config for the timeline. Both issue the same op stream,
@@ -310,7 +282,7 @@ def ooc_qr(
     obs_rec = obs if obs is not None else NULL_RECORDER
 
     if runtime == "dag":
-        from repro.runtime import GraphBuilder
+        from repro.runtime import GraphBuilder, run_recorded
 
         ex = GraphBuilder(
             config,
@@ -364,10 +336,7 @@ def ooc_qr(
             with track(ex) as moved:
                 run_info = driver(ex, host_a, host_r, options, checkpoint=session)
             if runtime == "dag":
-                trace = _execute_qr_graph(
-                    ex, config, method, host_a, options, mode, concurrency,
-                    obs=obs_rec,
-                )
+                trace = run_recorded(ex, mode, concurrency, obs=obs_rec)
             elif mode == "sim":
                 trace = ex.finish()
             else:

@@ -12,10 +12,15 @@ backend decides *what* running means.
   the payload array lazily, ``free`` drops it), so execution-time peak
   memory is exactly the build-time — and hence the legacy — peak.
 * :class:`SimGraphBackend` — translates the whole graph onto the
-  discrete-event :class:`~repro.sim.simulator.GpuSimulator`, one stream
-  per engine class with the derived dataflow edges as cross-stream
-  dependencies, and returns the simulated :class:`~repro.sim.trace.Trace`.
+  discrete-event :class:`~repro.sim.simulator.GpuSimulator`
+  (:func:`simulate_tasks`: one stream per engine class with the derived
+  dataflow edges as cross-stream dependencies) and returns the simulated
+  :class:`~repro.sim.trace.Trace`.
 * :class:`RecordingBackend` — test double that just logs execution order.
+
+:func:`run_recorded` is the ``runtime="dag"`` back half of the public
+APIs: it takes the graph a :class:`~repro.runtime.builder.GraphBuilder`
+recorded and simulates or executes it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from repro.config import SystemConfig
 from repro.errors import ExecutionError
 from repro.obs.clock import monotonic as _monotonic
 from repro.obs.span import NULL_RECORDER
-from repro.runtime.task import TaskGraph, TileTask
+from repro.runtime.scheduler import DagScheduler
+from repro.runtime.task import TaskGraph, TileTask, dataflow_ops
 from repro.sim.memory import DeviceAllocator
-from repro.sim.ops import EngineKind, SimOp
+from repro.sim.ops import EngineKind
 from repro.sim.simulator import GpuSimulator
 from repro.sim.trace import Trace
 
@@ -134,12 +140,41 @@ class NumericGraphBackend:
 
     def recorded_trace(self, graph: TaskGraph) -> Trace:
         """Wall-clock trace of the executed ops (mirrors the concurrent
-        executor's recorded trace: real timestamps, zero model time)."""
+        executor's recorded trace: real timestamps, zero model time).
+
+        The trace ops carry the dataflow edges the scheduler honoured, so
+        its causality check holds; the graph's ops keep the issued order.
+        """
         trace = Trace()
-        for op in graph.ops:
-            if op.scheduled:
+        for src, op in zip(graph.ops, dataflow_ops(graph.tasks)):
+            if src.scheduled:
+                op.start, op.end, op.duration = src.start, src.end, src.duration
                 trace.add(op)
         return trace
+
+
+def simulate_tasks(sim: GpuSimulator, tasks: list[TileTask], lane: str) -> Trace:
+    """Discrete-event simulation of a task list on *sim*.
+
+    Allocator pseudo-tasks replay on the simulator's allocator (so an
+    over-capacity graph raises); real tasks run as :func:`dataflow_ops`
+    clones on one stream per engine class (``"<lane>-<engine>"``), their
+    dataflow edges serving as cross-stream dependencies.
+    """
+    allocations: dict[int, object] = {}
+    for task in tasks:
+        if task.mem == "alloc":
+            allocations[id(task.buffer)] = sim.allocator.alloc(
+                task.nbytes, name=task.buffer.name
+            )
+        elif task.mem == "free":
+            sim.allocator.free(allocations.pop(id(task.buffer)))
+    streams = {
+        engine: sim.stream(f"{lane}-{engine.value}") for engine in EngineKind
+    }
+    for op in dataflow_ops(tasks):
+        sim.enqueue(op, streams[op.engine])
+    return sim.run()
 
 
 class SimGraphBackend:
@@ -148,9 +183,8 @@ class SimGraphBackend:
     Unlike the eager backends this consumes the graph whole (``run``):
     the simulator owns scheduling inside its engine model, so the DAG
     scheduler's role collapses to handing over ops with their dataflow
-    edges. Graph ops are *cloned* before enqueueing — the simulator
-    mutates timestamps and stream FIFO edges, and the graph must stay
-    pristine for analysis after the run.
+    edges. The simulator runs clones (:func:`simulate_tasks`), so the
+    graph stays pristine for analysis after the run.
     """
 
     def __init__(self, config: SystemConfig):
@@ -159,42 +193,7 @@ class SimGraphBackend:
 
     def run(self, graph: TaskGraph) -> Trace:
         graph.validate()
-        streams = {
-            engine: self.sim.stream(f"dag-{engine.value}")
-            for engine in EngineKind
-        }
-        clones: dict[int, SimOp] = {}
-        for task in graph.tasks:
-            if task.mem == "alloc":
-                buf = task.buffer
-                assert buf is not None
-                buf.payload["sim-allocation"] = self.sim.allocator.alloc(
-                    task.nbytes, name=buf.name
-                )
-                continue
-            if task.mem == "free":
-                buf = task.buffer
-                assert buf is not None
-                self.sim.allocator.free(buf.payload.pop("sim-allocation"))
-                continue
-            src = task.op
-            assert src is not None
-            op = SimOp(
-                name=src.name,
-                engine=src.engine,
-                kind=src.kind,
-                duration=task.cost,
-                nbytes=src.nbytes,
-                flops=src.flops,
-                tags=dict(src.tags),
-            )
-            self.sim.enqueue(op, streams[src.engine])
-            for dep in task.deps:
-                mapped = clones.get(dep.task_id)
-                if mapped is not None:
-                    op.deps.add(mapped)
-            clones[task.task_id] = op
-        trace = self.sim.run()
+        trace = simulate_tasks(self.sim, graph.tasks, "dag")
         graph.stats.makespan = trace.makespan
         return trace
 
@@ -213,4 +212,37 @@ class RecordingBackend:
             self.order.append(task.task_id)
 
 
-__all__ = ["NumericGraphBackend", "RecordingBackend", "SimGraphBackend"]
+def run_recorded(
+    builder, mode: str, concurrency: str, *, obs=NULL_RECORDER
+) -> Trace | None:
+    """Run the graph *builder* recorded: simulate it (``mode="sim"``) or
+    execute it on a :class:`NumericGraphBackend`, serially or on worker
+    threads (``concurrency="threads"``). Returns the simulated trace, the
+    measured trace of a threaded run, or None for a serial numeric run.
+    """
+    # Take the recording from the builder: the task bodies reference the
+    # builder, so a builder that kept the graph would form a reference
+    # cycle holding the graph, and every host array it touches, until the
+    # cyclic collector runs.
+    graph, builder.graph = builder.graph, None
+    if mode == "sim":
+        return SimGraphBackend(builder.config).run(graph)
+    backend = NumericGraphBackend(builder.config, obs=obs)
+    scheduler = DagScheduler(graph)
+    if concurrency == "threads":
+        scheduler.run_threaded(backend)
+        trace = backend.recorded_trace(graph)
+    else:
+        scheduler.run_serial(backend)
+        trace = None
+    backend.allocator.check_balanced()
+    return trace
+
+
+__all__ = [
+    "NumericGraphBackend",
+    "RecordingBackend",
+    "SimGraphBackend",
+    "run_recorded",
+    "simulate_tasks",
+]

@@ -9,18 +9,22 @@ op hook (``_issue``) so that every op is recorded as a
 read/write sets, host regions, a cost hint from
 :func:`repro.sim.simulator.price` (the same function that times
 ``SimExecutor`` ops), and the unexecuted numeric closure — instead of
-running immediately. A
-scheduler then executes the graph later, in any dependency-respecting
-order.
+running immediately. Streams and events are real
+(:class:`~repro.sim.stream.Stream`), so each recorded op also carries the
+stream-FIFO/event edges the driver issued in ``op.deps``, exactly as
+``SimExecutor`` records them; the derived dataflow edges go on
+``task.deps``. A scheduler then executes the graph later, in any
+dataflow-respecting order.
 
 Memory accounting is split in two so both planning and execution match
 the legacy executors exactly:
 
 * **build time** — ``alloc``/``free`` hit ``self.allocator`` eagerly, so
   drivers that plan from ``allocator.free_bytes`` (k-split depth, spill
-  decisions, §4.1.2 staging buffers) make identical choices, and
-  over-capacity plans raise ``OutOfDeviceMemoryError`` at the same point
-  they would on the legacy path;
+  decisions, §4.1.2 staging buffers) make identical choices, and a
+  defective plan fails where it would on the legacy path: an
+  over-capacity allocation raises ``OutOfDeviceMemoryError``, a double
+  free or a use of a freed buffer raises ``ExecutionError``;
 * **run time** — the recorded ``alloc``/``free`` pseudo-tasks replay the
   same sequence against the *backend's* allocator, with payload numpy
   arrays created lazily by the ``alloc`` task and dropped by ``free``.
@@ -69,10 +73,13 @@ class GraphBuilder(NumericExecutor):
         label: str = "",
         materialize: bool = True,
     ):
-        super().__init__(config, record=False)
+        super().__init__(config, record=True)
         self.graph = TaskGraph(config, label=label)
         self.graph.stats = self.stats  # one shared accounting object
         self._materialize = materialize
+        # price() reads only the op's kind, bytes, flops and dims; a run
+        # issues few distinct tile shapes, so each is priced once
+        self._costs: dict[tuple, float] = {}
 
     # -- the op hook ------------------------------------------------------------
 
@@ -86,10 +93,15 @@ class GraphBuilder(NumericExecutor):
         host_writes: tuple[HostRegion, ...] = (),
     ) -> None:
         tag_host_region(op, host_reads, host_writes)
+        stream.attach(op)
+        key = (op.kind, op.nbytes, op.flops, op.dims)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = price(op, self.config)
         self.graph.add_op(
             op,
             body=body if self._materialize else None,
-            cost=price(op, self.config),
+            cost=cost,
             accesses=op.tags["accesses"],
             host_reads=host_reads,
             host_writes=host_writes,

@@ -2,10 +2,20 @@
 
 A :class:`TileTask` is one unit of work bound to a hardware engine class
 (H2D DMA, compute, D2H DMA — :class:`~repro.sim.ops.EngineKind`) plus the
-two allocator pseudo-tasks (``alloc``/``free``). Instead of issuing ops
-imperatively against streams and events, an engine run is *recorded* as a
-:class:`TaskGraph` (by :class:`~repro.runtime.builder.GraphBuilder`) whose
-dependency edges are derived purely from declared data accesses:
+two allocator pseudo-tasks (``alloc``/``free``). An engine run is
+*recorded* as a :class:`TaskGraph` (by
+:class:`~repro.runtime.builder.GraphBuilder`), which keeps two relations
+over the same ops:
+
+* ``op.deps`` — the **issued program order**: the stream-FIFO and event
+  edges the driver issued, exactly as every stream executor (serial and
+  threaded numeric, the simulator) wires them. This is the order the
+  legacy executors and ``SimExecutor`` run;
+* ``task.deps`` — the **dataflow** edges the DAG scheduler runs, derived
+  purely from declared data accesses (below). :func:`dataflow_ops`
+  projects them onto cloned ops for consumers that want ``SimOp`` lists.
+
+Dataflow edges come from three rules:
 
 * **device dataflow** — a task depends on the earlier tasks whose device
   accesses overlap one of its own with at least one writer (the same
@@ -24,11 +34,10 @@ dependency edges are derived purely from declared data accesses:
   order, so every schedule replays the allocator sequence of the legacy
   executors and the exact peak of §5.2's memory accounting is preserved.
 
-The graph exposes the :class:`~repro.analysis.capture.CapturedProgram`
-protocol (``config`` / ``ops`` / ``mem_events`` / ``stats`` / ``label`` /
-``volume_hint``), so :func:`repro.analysis.verify.verify_program` checks a
-task graph directly — races, lifetimes, exact peak memory, §3.2 transfer
-volume — with no capture pass in between.
+The graph is the program :func:`repro.analysis.verify.verify_program`
+checks (``config`` / ``ops`` / ``mem_events`` / ``stats`` / ``label`` /
+``volume_hint``): races under either relation, lifetimes, exact peak
+memory, §3.2 transfer volume.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.analysis.capture import MemEvent
 from repro.config import SystemConfig
 from repro.errors import DeadlockError
 from repro.execution.base import DeviceBuffer, RunStats
 from repro.host.tiled import HostRegion
+from repro.sim.memory import MemEvent
 from repro.sim.ops import EngineKind, OpKind, SimOp
 from repro.util.regions import RegionIndex, accesses_conflict
 
@@ -96,12 +105,12 @@ class TileTask:
 class TaskGraph:
     """A recorded tile-task DAG, ready to schedule, simulate, or verify.
 
-    Satisfies the captured-program protocol consumed by
+    Satisfies the program protocol consumed by
     :func:`repro.analysis.verify.verify_program`: ``ops`` is the
     emission-ordered list of real op nodes (allocator tasks excluded)
-    whose ``deps`` are the derived dataflow edges, and ``mem_events``
-    is the allocator log positioned against that op list exactly like a
-    capture's.
+    whose ``deps`` are the issued stream-FIFO/event edges, and
+    ``mem_events`` is the allocator log positioned against that op list.
+    The dataflow edges live on ``tasks`` (see module docstring).
     """
 
     def __init__(self, config: SystemConfig, label: str = ""):
@@ -110,7 +119,9 @@ class TaskGraph:
         self.tasks: list[TileTask] = []
         self.mem_events: list[MemEvent] = []
         self.stats = RunStats()
-        #: §3.2 volume model hint ``(model, m, n, b)``; see CapturedProgram.
+        #: §3.2 transfer-volume model this program should respect:
+        #: ``(model, m, n, b)`` with model ``"blocking"`` or ``"recursive"``;
+        #: None for programs with no closed-form bound (GEMM).
         self.volume_hint: tuple[str, int, int, int] | None = None
         self._ops: list[SimOp] = []
         # dataflow wiring state: live accesses per buffer and per host matrix
@@ -122,7 +133,7 @@ class TaskGraph:
 
     @property
     def ops(self) -> list[SimOp]:
-        """Emission-ordered real ops (the verifier's op stream)."""
+        """Emission-ordered real ops with their issued stream-order deps."""
         return self._ops
 
     def __len__(self) -> int:
@@ -136,20 +147,12 @@ class TaskGraph:
     # -- construction ------------------------------------------------------------
 
     def _link(self, task: TileTask, deps: Iterable[TileTask]) -> None:
-        seen = set(map(id, task.deps))
-        for dep in deps:
-            if dep is task or id(dep) in seen:
-                continue
-            seen.add(id(dep))
-            task.deps.append(dep)
-            if task.op is not None and dep.op is not None:
-                task.op.deps.add(dep.op)
-
-    def _device_deps(self, task: TileTask, access: Access) -> list[TileTask]:
-        return self._device_index.add(
-            task, access[0], (access[1], access[2]), (access[3], access[4]),
-            access[5],
-        )
+        """Append *deps* to ``task.deps`` in first-seen order, each once,
+        never the task itself."""
+        known = task.deps
+        for dep in dict.fromkeys(deps):
+            if dep is not task and dep not in known:
+                known.append(dep)
 
     def add_op(
         self,
@@ -173,8 +176,9 @@ class TaskGraph:
             host_writes=host_writes,
         )
         deps: list[TileTask] = []
-        for access in task.accesses:
-            deps.extend(self._device_deps(task, access))
+        device = self._device_index
+        for handle, r0, r1, c0, c1, write in task.accesses:
+            deps += device.add(task, handle, (r0, r1), (c0, c1), write)
         for region in host_reads:
             deps.extend(self._host_index.add_host(task, region, False))
         for region in host_writes:
@@ -191,15 +195,16 @@ class TaskGraph:
         )
         # whole-buffer write: orders the task against every touch of the
         # buffer (first toucher waits for alloc; free waits for the last)
-        access: Access = (handle, 0, max(buf.rows, 1), 0, max(buf.cols, 1), True)
-        deps = self._device_deps(task, access)
+        deps = self._device_index.add(
+            task, handle, (0, max(buf.rows, 1)), (0, max(buf.cols, 1)), True
+        )
         if self._last_mem is not None:
             deps.append(self._last_mem)  # emission-order allocator chain
         self._link(task, deps)
         self._last_mem = task
         self.tasks.append(task)
         self.mem_events.append(
-            MemEvent(kind, handle, buf.name, nbytes, len(self._ops), True)
+            MemEvent(kind, handle, buf.name, nbytes, len(self._ops))
         )
         return task
 
@@ -244,60 +249,78 @@ class TaskGraph:
             stuck = [t for t in self.tasks if indegree[t.task_id] > 0]
             raise DeadlockError(stuck)
 
-    def signature(self) -> list[tuple[str, str, str, tuple[int, ...]]]:
-        """Canonical ``(engine, kind, name, dep-indices)`` form of the real
-        op stream — comparable against
-        :func:`repro.sim.scheduler.happens_before_signature` output."""
-        from repro.sim.scheduler import happens_before_signature
-
-        return happens_before_signature(self._ops)
-
-
-def node_signature(ops: Iterable[SimOp]) -> list[tuple[str, str, str]]:
-    """Dependency-free node identity of an op stream: ``(engine, kind,
-    name)`` per op in issue order. Legacy executors wire stream-FIFO/event
-    edges and the DAG runtime wires dataflow edges, so full happens-before
-    signatures differ by design; node-for-node equality plus
-    :func:`edges_consistent` is the cross-runtime comparison."""
-    return [(op.engine.value, op.kind.value, op.name) for op in ops]
+    def dataflow_order(self) -> list[list[int]]:
+        """The dataflow over :attr:`ops`: per op, the indices of the ops
+        its task depends on (edges through allocator tasks dropped, as in
+        :func:`dataflow_ops`)."""
+        index = {op: i for i, op in enumerate(self._ops)}
+        preds: list[list[int]] = [[] for _ in self._ops]
+        for task in self.tasks:
+            i = index.get(task.op)
+            if i is not None:
+                preds[i] = [
+                    index[dep.op] for dep in task.deps if dep.op in index
+                ]
+        return preds
 
 
-def edges_consistent(graph_ops: list[SimOp], legacy_ops: list[SimOp]) -> bool:
-    """Whether the DAG's dependency structure is compatible with the
-    legacy program's.
+def dataflow_ops(tasks: Iterable[TileTask]) -> list[SimOp]:
+    """The real ops of *tasks* as clones whose ``deps`` are the tasks'
+    dataflow edges, in task order.
 
-    Both op lists must be node-for-node identical (same engines/kinds/
-    names in the same issue order — check :func:`node_signature` first).
+    Edges to allocator tasks, to later tasks and to tasks outside *tasks*
+    are dropped. A clone carries its source's name, engine, kind, bytes,
+    flops, dims and tags, takes ``task.cost`` as its duration, and is not
+    on any stream, so the simulator can enqueue it and the recorded op
+    stays untouched.
+    """
+    clones: dict[int, SimOp] = {}
+    for task in tasks:
+        src = task.op
+        if src is None:
+            continue
+        clone = clones[task.task_id] = SimOp(
+            name=src.name,
+            engine=src.engine,
+            kind=src.kind,
+            duration=task.cost,
+            nbytes=src.nbytes,
+            flops=src.flops,
+            tags=dict(src.tags),
+            dims=src.dims,
+        )
+        clone.deps.update(
+            clones[dep.task_id] for dep in task.deps if dep.task_id in clones
+        )
+    return list(clones.values())
+
+
+def edges_consistent(graph: TaskGraph) -> bool:
+    """Whether a graph's dataflow agrees with its issued program order.
+
     Two directions are proved:
 
-    1. *No contradiction*: every DAG edge points backward in the shared
-       issue order, so the DAG never inverts an ordering the legacy
-       serial schedule established. (Host-coherence edges may *add*
-       ordering the legacy capture leaves to its executor's internal
-       host-dependency tracking — that is a refinement, not a conflict.)
-    2. *No dropped dataflow*: every direct legacy dependency edge between
-       two ops with conflicting device accesses is covered by the DAG's
+    1. *No contradiction*: every dataflow edge points backward in issue
+       order, so the DAG never inverts an ordering the issued program
+       established. (Host-coherence edges may *add* ordering the stream
+       program leaves to the threaded executor's host tracking — that is
+       a refinement, not a conflict.)
+    2. *No dropped dataflow*: every issued stream/event edge between two
+       ops with conflicting device accesses is covered by the dataflow
        happens-before closure.
     """
-    if len(graph_ops) != len(legacy_ops):
-        return False
-    graph_index = {id(op): i for i, op in enumerate(graph_ops)}
-    n = len(graph_ops)
-    reach = [0] * n  # bitmask of graph ops that happen-before op i (incl. i)
-    for i, op in enumerate(graph_ops):
+    reach = [0] * len(graph.ops)  # bitmask of ops that happen-before op i
+    for i, preds in enumerate(graph.dataflow_order()):
         mask = 1 << i
-        for dep in op.deps:
-            j = graph_index.get(id(dep))
-            if j is None:
-                continue
-            if j >= i:  # forward edge: contradicts the legacy order
+        for j in preds:
+            if j >= i:
                 return False
             mask |= reach[j]
         reach[i] = mask
-    legacy_index = {id(op): i for i, op in enumerate(legacy_ops)}
-    for i, op in enumerate(legacy_ops):
+    issued = {op: i for i, op in enumerate(graph.ops)}
+    for i, op in enumerate(graph.ops):
         for dep in op.deps:
-            j = legacy_index.get(id(dep))
+            j = issued.get(dep)
             if j is None or not _device_conflict(op, dep):
                 continue
             if not reach[i] & (1 << j):
@@ -318,6 +341,6 @@ __all__ = [
     "Access",
     "TaskGraph",
     "TileTask",
+    "dataflow_ops",
     "edges_consistent",
-    "node_signature",
 ]

@@ -39,10 +39,12 @@ from typing import Any, Callable
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import (
     AdmissionError,
+    AllocationError,
     AnalysisError,
     CheckpointError,
     ConfigError,
     DeviceLostError,
+    ExecutionError,
     NumericalError,
     OutOfDeviceMemoryError,
     OutOfHostMemoryError,
@@ -62,6 +64,9 @@ from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.job import JobHandle, JobResult, JobSpec, JobState
 from repro.serve.metrics import MetricsRegistry
 from repro.util.validation import one_of
+
+#: Distinct verified plans a service remembers (all are dropped when full).
+PLAN_REPORTS_KEPT = 256
 
 #: Exception types never worth retrying: the same inputs will fail again.
 #: NumericalError is here because the executors are deterministic — a job
@@ -173,7 +178,7 @@ def _run_dist_job(
     degradation path.
     """
     if spec.tolerance is not None:
-        # Multi-device jobs skip the single-device submit-time capture, so
+        # Multi-device jobs skip the single-device submit-time graph, so
         # the precision gate runs here against the global dist graph (the
         # bound prices the reduction tree by depth; docs/analysis.md).
         from repro.analysis import PRECISION_RULES
@@ -277,7 +282,7 @@ class FactorService:
         Replacement for :func:`run_job` (fault injection, test doubles).
     verify_plans
         Run the static plan verifier (:mod:`repro.analysis`) at submit
-        time: the job's op stream is captured symbolically under its
+        time: the job's task graph is built (no data, no clock) under its
         exact grant, proved race-free / leak-free / within budget, and
         the verifier's *exact* peak-memory result — not the plan
         heuristic — is what admission charges. Plans with findings are
@@ -343,6 +348,9 @@ class FactorService:
             cache = None
         self.cache = cache
         self.verify_plans = verify_plans
+        #: Verified plan reports by plan identity (see _verify_plan).
+        self._plan_reports: dict[tuple, Any] = {}
+        self._plan_reports_lock = threading.Lock()
         self.faults = faults
         self.on_device_loss = one_of(
             on_device_loss, ("recover", "degrade", "fail"), "on_device_loss"
@@ -460,29 +468,53 @@ class FactorService:
     def verify_job(self, spec: JobSpec):
         """Statically verify the plan *spec* would run under its grant.
 
-        Captures the job's op stream symbolically (no data, no clock)
-        under the same capped config :meth:`job_config` returns and runs
-        every verifier pass against the grant as the budget. Returns the
-        :class:`~repro.analysis.verify.AnalysisReport`; raises
-        :class:`~repro.errors.AdmissionError` (``job-unplannable``) when
-        the engines cannot even plan inside the grant.
+        Builds the job's task graph (no data, no clock) under the same
+        capped config :meth:`job_config` returns and runs every verifier
+        pass against the grant as the budget. Returns the
+        :class:`~repro.analysis.verify.AnalysisReport` (the same object
+        for every job of one plan: treat it as read-only); raises
+        :class:`~repro.errors.AdmissionError` — ``job-unplannable`` when
+        the engines cannot even plan inside the grant, ``plan-rejected``
+        when the builder refuses the plan (over-capacity allocation,
+        double free, use of a freed buffer, leak).
         """
         return self._verify_plan(spec, estimate_footprint_bytes(spec, self.config))
 
     def _verify_plan(self, spec: JobSpec, footprint: int):
-        from repro.analysis import capture_job, verify_program
+        from repro.analysis import verify_program
+        from repro.runtime import build_job_graph
 
+        # The report depends on the plan alone — kind, shapes, method,
+        # options, tolerance and grant, never operand values — so a
+        # repeated plan reuses it instead of recording its graph again.
+        key = (
+            spec.kind, spec.method, spec.trans_a, spec.shapes(),
+            spec.options, spec.tolerance, footprint,
+        )
+        with self._plan_reports_lock:
+            report = self._plan_reports.get(key)
+        if report is not None:
+            return report
         try:
-            program = capture_job(spec, self._capped_config(footprint))
+            graph = build_job_graph(spec, self._capped_config(footprint))
         except PlanError as exc:
             raise AdmissionError(
                 "job-unplannable",
                 f"{spec.label()} cannot be planned inside its "
                 f"{footprint}-byte grant: {exc}",
             ) from exc
-        return verify_program(
-            program, budget_bytes=footprint, tolerance=spec.tolerance
+        except (OutOfDeviceMemoryError, ExecutionError, AllocationError) as exc:
+            raise AdmissionError(
+                "plan-rejected", f"{spec.label()}: {exc}"
+            ) from exc
+        report = verify_program(
+            graph, budget_bytes=footprint, tolerance=spec.tolerance
         )
+        with self._plan_reports_lock:
+            if len(self._plan_reports) >= PLAN_REPORTS_KEPT:
+                self._plan_reports.clear()
+            self._plan_reports[key] = report
+        return report
 
     def _gate_plan(self, spec: JobSpec, footprint: int, rid, t_submit):
         """Verify *spec*'s plan and apply the admission gate; returns the
@@ -492,9 +524,13 @@ class FactorService:
         health options provide the ``escalate`` runtime fallback."""
         try:
             report = self._verify_plan(spec, footprint)
-        except AdmissionError:
+        except AdmissionError as exc:
+            outcome = "rejected"
+            if exc.reason == "plan-rejected":
+                self._plans_rejected_c.inc()
+                outcome = "plan-rejected"
             self._rejected_c.inc()
-            self._record_job_root(spec, rid, t_submit, "rejected")
+            self._record_job_root(spec, rid, t_submit, outcome)
             raise
         if report.findings:
             from repro.analysis import PRECISION_RULES
@@ -571,8 +607,8 @@ class FactorService:
             self._cache_misses_c.inc()
 
         # Static plan verification happens outside the scheduler lock: the
-        # capture is pure (no data, no clock, no shared state).
-        # Multi-device jobs skip the single-device capture: their
+        # graph build is pure (no data, no clock, no shared state).
+        # Multi-device jobs skip the single-device graph: their
         # placement is verified per-device by the dist runner instead
         # (every DeviceProgram through verify_program; see _run_dist_job).
         charge = footprint

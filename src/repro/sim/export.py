@@ -30,7 +30,7 @@ def trace_rows(trace: Trace) -> list[dict[str, Any]]:
                 "name": op.name,
                 "engine": op.engine.value,
                 "kind": op.kind.value,
-                "stream": getattr(op.stream, "name", ""),
+                "stream": op.stream or "",
                 "start_s": op.start,
                 "end_s": op.end,
                 "duration_s": op.end - op.start,
@@ -102,7 +102,7 @@ def to_chrome_trace(trace: Trace, path: str | Path) -> Path:
                 "args": {
                     "bytes": op.nbytes,
                     "flops": op.flops,
-                    "stream": getattr(op.stream, "name", ""),
+                    "stream": op.stream or "",
                 },
             }
         )

@@ -31,6 +31,23 @@ class Allocation:
     nbytes: int
 
 
+@dataclass(frozen=True)
+class MemEvent:
+    """One allocator event of a recorded program, positioned in its op list.
+
+    ``position`` is the number of ops issued before the event, so an op at
+    issue index ``i`` runs after every event with ``position <= i``. The
+    lifetime pass in :mod:`repro.analysis.verify` reconstructs leaks,
+    double frees, use-after-free windows and the exact peak from this log.
+    """
+
+    kind: str        # "alloc" | "free"
+    handle: int
+    name: str
+    nbytes: int
+    position: int
+
+
 @dataclass
 class DeviceAllocator:
     """Tracks live device allocations against a fixed capacity."""

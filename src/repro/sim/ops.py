@@ -52,7 +52,7 @@ class SimOp:
     engine: EngineKind
     kind: OpKind
     duration: float
-    stream: "Any" = None          # repro.sim.stream.Stream, set at enqueue
+    stream: str | None = None     # name of the stream, set at enqueue
     nbytes: int = 0
     flops: int = 0
     tags: dict[str, Any] = field(default_factory=dict)

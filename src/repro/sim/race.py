@@ -15,7 +15,7 @@ suite runs every engine under the detector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.sim.ops import SimOp
 from repro.sim.trace import Trace
@@ -40,47 +40,58 @@ class Race:
         )
 
 
-def find_hazards(ops: Sequence[SimOp]) -> list[Race]:
+def find_hazards(
+    ops: Sequence[SimOp], *orders: Sequence[Iterable[int]]
+) -> list[Race]:
     """All unordered conflicting op pairs in an issue-ordered op list.
 
     The static core shared by the dynamic detector (:func:`detect_races`,
     which feeds it schedule-ordered trace ops) and the plan verifier
-    (:mod:`repro.analysis.verify`, which feeds it a captured program that
+    (:mod:`repro.analysis.verify`, which feeds it a recorded program that
     was never executed). *ops* must be topologically ordered — every
     dependency precedes its dependent — which both issue order and
     schedule order guarantee.
 
     Ops carry their device accesses in ``tags["accesses"]``; ops without
     access records are ignored. Happens-before is the transitive closure
-    of the recorded dependency edges (stream FIFO + events), computed with
-    bitsets over the given order.
+    of the ops' ``deps`` (stream FIFO + events), computed with bitsets
+    over the given order. Each extra *order* is a further happens-before
+    relation over the same ops — per op, the indices of the ops it
+    depends on (a task graph's dataflow) — and a conflicting pair left
+    unordered by any relation is a race.
     """
     index = {op: i for i, op in enumerate(ops)}
-    n = len(ops)
-    # reach[i] = bitmask of ops that happen-before op i (including i)
-    reach = [0] * n
-    for i, op in enumerate(ops):
-        mask = 1 << i
-        for dep in op.deps:
-            j = index.get(dep)
-            if j is not None:
-                mask |= reach[j]
-        reach[i] = mask
+    issued = [[index[d] for d in op.deps if d in index] for op in ops]
+    # before[i]: bitmask of the ops that happen-before op i in every relation
+    before = _closure(issued)
+    for order in orders:
+        before = [a & b for a, b in zip(before, _closure(order))]
 
     races: list[Race] = []
     by_buffer: dict[int, list[tuple[int, Access]]] = {}
     for i, op in enumerate(ops):
+        ordered = before[i]
         for acc in op.tags.get("accesses", ()):
             bucket = by_buffer.setdefault(acc[0], [])
             for j, other in bucket:
-                if not accesses_conflict(acc, other):
+                if ordered >> j & 1 or not accesses_conflict(acc, other):
                     continue
-                if reach[i] & (1 << j):
-                    continue  # ordered
                 races.append(Race(ops[j], op, acc[0]))
                 break  # one report per access is enough
             bucket.append((i, acc))
     return races
+
+
+def _closure(order: Sequence[Iterable[int]]) -> list[int]:
+    """Per op, the bitmask of ops that happen-before it (itself included);
+    a dependency on a later op orders nothing."""
+    reach = [0] * len(order)
+    for i, preds in enumerate(order):
+        mask = 1 << i
+        for j in preds:
+            mask |= reach[j]
+        reach[i] = mask
+    return reach
 
 
 def detect_races(trace: Trace) -> list[Race]:

@@ -47,10 +47,14 @@ class Stream:
     pending_waits: list[Event] = field(default_factory=list)
 
     def attach(self, op: SimOp) -> None:
-        """Bind *op* to this stream, wiring FIFO and event dependencies."""
+        """Bind *op* to this stream, wiring FIFO and event dependencies.
+
+        The op keeps the stream's *name*, not the stream: the stream holds
+        its last op, so a back reference would form a reference cycle.
+        """
         if op.stream is not None:
             raise StreamError(f"op {op.name!r} is already enqueued")
-        op.stream = self
+        op.stream = self.name
         if self.last_op is not None:
             op.deps.add(self.last_op)
         for event in self.pending_waits:

@@ -125,33 +125,48 @@ class RegionIndex:
         c0, c1 = cols
         if r0 >= r1 or c0 >= c1:
             return []
-        keys = self._logs.setdefault(resource, {})
+        entry = (self._seq, owner, r0, r1, write)
+        self._seq += 1
+        keys = self._logs.get(resource)
+        if keys is None:  # first access of the resource: nothing to order
+            self._logs[resource] = {(c0, c1): [entry]}
+            return []
         retired = self._retired
         hits: list[tuple[int, object]] = []
         emptied: list[tuple[int, int]] = []
+        # Logged and queried intervals are non-empty, so the overlap tests
+        # below are intervals_overlap without its emptiness tests.
         for key, log in keys.items():
-            if not intervals_overlap(key[0], key[1], c0, c1):
+            k0, k1 = key
+            if k1 <= c0 or c1 <= k0:
                 continue
-            shadows = write and c0 <= key[0] and key[1] <= c1
+            shadows = write and c0 <= k0 and k1 <= c1
+            if not shadows and retired is None:
+                # nothing in this log can be dropped: only collect hits
+                for seq, other, e0, e1, other_write in log:
+                    if (write or other_write) and e0 < r1 and r0 < e1:
+                        hits.append((seq, other))
+                continue
             kept = []
-            for entry in log:
-                seq, other, e0, e1, other_write = entry
+            for logged in log:
+                seq, other, e0, e1, other_write = logged
                 if retired is not None and retired(other):
                     continue
-                # logged and queried rows are non-empty, so this is
-                # intervals_overlap without the emptiness tests
                 if (write or other_write) and e0 < r1 and r0 < e1:
                     hits.append((seq, other))
                     if shadows and r0 <= e0 and e1 <= r1:
                         continue
-                kept.append(entry)
+                kept.append(logged)
             log[:] = kept
             if not kept:
                 emptied.append(key)
         for key in emptied:
             del keys[key]
-        keys.setdefault((c0, c1), []).append((self._seq, owner, r0, r1, write))
-        self._seq += 1
+        log = keys.get((c0, c1))
+        if log is None:
+            keys[(c0, c1)] = [entry]
+        else:
+            log.append(entry)
         hits.sort()  # by logging order: sequence numbers are unique
         return [other for _, other in hits]
 

@@ -35,10 +35,8 @@ from repro.analysis import (
     DEFAULT_TOLERANCE,
     PRECISION_LEVELS,
     PRECISION_RULES,
-    CaptureExecutor,
     PrecisionPlan,
     assert_precision_ok,
-    capture_qr,
     check_precision,
     propagate,
     verify_program,
@@ -66,6 +64,7 @@ from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.qr.api import ooc_qr
 from repro.qr.options import QrOptions
+from repro.runtime import GraphBuilder, build_qr_graph
 from repro.serve import FactorService, JobSpec
 from repro.tc.precision import UNIT_ROUNDOFF
 
@@ -80,7 +79,7 @@ def config_with(precision: Precision, element_bytes: int = 4) -> SystemConfig:
 
 
 def recursive_program(config: SystemConfig = PAPER_SYSTEM):
-    return capture_qr(config, M, N, B, method="recursive")
+    return build_qr_graph(config, M, N, B, method="recursive")
 
 
 def rule_counts(findings) -> Counter:
@@ -145,7 +144,7 @@ class TestPrecisionPlan:
 
 def one_gemm_program(k: int = 64):
     """h2d A, h2d B, C = A B, d2h C — one GEMM, one k-chain."""
-    ex = CaptureExecutor(PAPER_SYSTEM, label="one-gemm")
+    ex = GraphBuilder(PAPER_SYSTEM, label="one-gemm", materialize=False)
     s = ex.stream("compute")
     eb = PAPER_SYSTEM.element_bytes
     ha = HostMatrix.shape_only(32, k, eb, name="hA")
@@ -156,7 +155,7 @@ def one_gemm_program(k: int = 64):
     ex.h2d(b, hb.full(), s)
     ex.gemm(c, a, b, s)
     ex.d2h(hc.full(), c, s)
-    return ex.finish()
+    return ex.graph
 
 
 class TestPropagate:
@@ -238,7 +237,7 @@ class TestStructuralRules:
             assert findings == [], fmt
 
     def test_fp16_capture_config_is_wasted_upcast_end_to_end(self):
-        # a real capture under element_bytes=2 + split inputs: the config
+        # a real graph under element_bytes=2 + split inputs: the config
         # itself implies the defective plan
         config = config_with(Precision.TC_FP16_SPLIT3, element_bytes=2)
         report = verify_program(recursive_program(config))

@@ -1,10 +1,11 @@
 """Mutation tests for the static plan verifier.
 
 Every shipped engine must verify clean; to prove that clean verdict is
-falsifiable, wrapper executors seed one deliberate bug each into a real
-engine run — a dropped cross-stream wait, a skipped free, a premature
-free with continued use, a duplicated H2D — and the verifier must flag
-exactly the seeded defect class, naming the offending op or buffer.
+falsifiable, data-free ``GraphBuilder`` subclasses seed one deliberate
+bug each into a real engine run — a dropped cross-stream wait, a skipped
+free, a premature free with continued use, a duplicated H2D — and the
+verifier must flag exactly the seeded defect class (or the builder must
+refuse it with a typed error), naming the offending op or buffer.
 """
 
 from __future__ import annotations
@@ -15,34 +16,36 @@ import pytest
 
 from repro.analysis import (
     DEFAULT_TOLERANCE,
-    ENGINE_CAPTURES,
-    CaptureExecutor,
     PrecisionPlan,
-    capture_gemm,
-    capture_qr,
     check_precision,
-    verify_all_engines,
-    verify_engine,
     verify_program,
 )
 from repro.config import PAPER_SYSTEM
 from repro.dist.sim import dist_precision_report
-from repro.host.tiled import HostMatrix
-from repro.qr.blocking import ooc_blocking_qr
-from repro.qr.options import QrOptions
+from repro.errors import ExecutionError
+from repro.runtime import (
+    GRAPH_BUILDERS,
+    GraphBuilder,
+    build_gemm_graph,
+    build_qr_graph,
+    drive_qr,
+    verify_engine_graph,
+)
 
 M, N, B = 96, 64, 16
 EB = PAPER_SYSTEM.element_bytes
 
 
-def capture_blocking_qr(ex):
+def record_blocking_qr(ex):
     """Drive the real blocking-QR engine through *ex* at the test shape."""
-    a = HostMatrix.shape_only(M, N, EB, name="A")
-    r = HostMatrix.shape_only(N, N, EB, name="R")
-    ooc_blocking_qr(ex, a, r, QrOptions(blocksize=B))
-    program = ex.finish()
-    program.volume_hint = ("blocking", M, N, B)
-    return program
+    drive_qr(ex, M, N, B, method="blocking")
+    graph = ex.graph
+    graph.volume_hint = ("blocking", M, N, B)
+    return graph
+
+
+def builder(cls=GraphBuilder, label="qr"):
+    return cls(PAPER_SYSTEM, label=label, materialize=False)
 
 
 def rule_counts(report):
@@ -53,9 +56,9 @@ def rule_counts(report):
 
 
 class TestShippedEnginesClean:
-    @pytest.mark.parametrize("name", sorted(ENGINE_CAPTURES))
+    @pytest.mark.parametrize("name", sorted(GRAPH_BUILDERS))
     def test_engine_verifies_clean(self, name):
-        report = verify_engine(name)
+        report = verify_engine_graph(name)
         assert report.ok, report.summary() + "\n" + "\n".join(
             str(f) for f in report.findings
         )
@@ -64,20 +67,20 @@ class TestShippedEnginesClean:
         assert report.peak_bytes <= report.budget_bytes
 
     def test_sweep_covers_whole_registry(self):
-        reports = verify_all_engines()
-        assert set(reports) == set(ENGINE_CAPTURES)
+        reports = {name: verify_engine_graph(name) for name in GRAPH_BUILDERS}
+        assert set(reports) == set(GRAPH_BUILDERS)
         assert all(r.ok for r in reports.values())
 
     def test_qr_volumes_within_model(self):
-        # captured volume sits at or below the §3.2 no-reuse worst case
+        # recorded volume sits at or below the §3.2 no-reuse worst case
         # (x the documented slack) and above the every-element-once floor
-        report = verify_engine("qr-blocking")
+        report = verify_engine_graph("qr-blocking")
         assert report.volume_model == "blocking"
         assert 0 < report.h2d_bytes <= 1.25 * report.model_h2d_bytes
         assert report.h2d_bytes >= M * N * EB
 
     def test_gemm_has_no_volume_model(self):
-        report = verify_engine("gemm-inner")
+        report = verify_engine_graph("gemm-inner")
         assert report.ok
         assert report.volume_model == ""
         assert any("no closed-form" in s for s in report.skipped)
@@ -85,7 +88,7 @@ class TestShippedEnginesClean:
     def test_non_power_of_two_recursion_skips_model(self):
         # k = 3 panels: the recursive closed form does not apply; the pass
         # must record a skip, never silently pass or fail
-        report = verify_engine("qr-recursive", m=96, n=48, b=16)
+        report = verify_engine_graph("qr-recursive", m=96, n=48, b=16)
         assert report.ok
         assert any("power-of-two" in s for s in report.skipped)
 
@@ -93,7 +96,7 @@ class TestShippedEnginesClean:
 # -- mutation: dropped event (race) -------------------------------------------------
 
 
-class DropWaits(CaptureExecutor):
+class DropWaits(GraphBuilder):
     """Seeded bug: every cross-stream wait is forgotten."""
 
     def wait_event(self, stream, event):
@@ -101,9 +104,12 @@ class DropWaits(CaptureExecutor):
 
 
 class TestDroppedEvent:
+    # The dataflow still orders every conflicting pair (it is derived from
+    # the accesses); the issued stream program the legacy executors and
+    # the simulator run does not, and that is what must be flagged.
     def test_flagged_as_race_and_nothing_else(self):
         report = verify_program(
-            capture_blocking_qr(DropWaits(PAPER_SYSTEM, label="drop-waits")),
+            record_blocking_qr(builder(DropWaits, "drop-waits")),
             input_floor_words=M * N,
         )
         counts = rule_counts(report)
@@ -112,7 +118,7 @@ class TestDroppedEvent:
 
     def test_finding_names_the_unordered_ops(self):
         report = verify_program(
-            capture_blocking_qr(DropWaits(PAPER_SYSTEM, label="drop-waits"))
+            record_blocking_qr(builder(DropWaits, "drop-waits"))
         )
         first = report.findings[0]
         assert first.op  # the second op of the unordered pair
@@ -122,7 +128,7 @@ class TestDroppedEvent:
 # -- mutation: missing free (leak) --------------------------------------------------
 
 
-class SkipFirstFree(CaptureExecutor):
+class SkipFirstFree(GraphBuilder):
     """Seeded bug: the first freed buffer is never actually freed."""
 
     def __init__(self, *args, **kwargs):
@@ -138,14 +144,14 @@ class SkipFirstFree(CaptureExecutor):
 
 class TestMissingFree:
     def test_flagged_as_exactly_one_leak(self):
-        ex = SkipFirstFree(PAPER_SYSTEM, label="skip-free")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
+        ex = builder(SkipFirstFree, "skip-free")
+        report = verify_program(record_blocking_qr(ex), input_floor_words=M * N)
         counts = rule_counts(report)
         assert counts == Counter({"leak": 1})
 
     def test_finding_names_the_leaked_buffer(self):
-        ex = SkipFirstFree(PAPER_SYSTEM, label="skip-free")
-        report = verify_program(capture_blocking_qr(ex))
+        ex = builder(SkipFirstFree, "skip-free")
+        report = verify_program(record_blocking_qr(ex))
         (finding,) = report.findings
         assert finding.op == ex.skipped
         assert ex.skipped in finding.message
@@ -154,7 +160,7 @@ class TestMissingFree:
 # -- mutation: premature buffer reuse (use-after-free + double-free) ---------------
 
 
-class FreeEarly(CaptureExecutor):
+class FreeEarly(GraphBuilder):
     """Seeded bug: the first H2D destination is freed immediately after the
     copy, while the engine keeps using (and eventually re-freeing) it."""
 
@@ -167,31 +173,28 @@ class FreeEarly(CaptureExecutor):
         if self.target is None:
             buf = dst if hasattr(dst, "payload") else dst.buffer
             self.target = buf.name
-            self.allocator.free(buf.payload["allocation"])
+            self.free(buf)
 
 
 class TestPrematureReuse:
-    def test_flagged_as_use_after_free_and_double_free_only(self):
-        ex = FreeEarly(PAPER_SYSTEM, label="free-early")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
-        counts = rule_counts(report)
-        assert set(counts) == {"use-after-free", "double-free"}
-        assert counts["use-after-free"] > 0
-        assert counts["double-free"] == 1  # the engine's own (late) free
+    # The builder refuses the plan where a real run would fail: the next
+    # op on the freed buffer raises before anything is recorded.
+    def test_refused_as_use_of_freed_buffer(self):
+        ex = builder(FreeEarly, "free-early")
+        with pytest.raises(ExecutionError, match="use of freed device buffer"):
+            record_blocking_qr(ex)
 
-    def test_findings_name_the_reused_buffer(self):
-        ex = FreeEarly(PAPER_SYSTEM, label="free-early")
-        report = verify_program(capture_blocking_qr(ex))
-        uaf = [f for f in report.findings if f.rule == "use-after-free"]
-        assert all(ex.target in f.message for f in uaf)
-        (dbl,) = [f for f in report.findings if f.rule == "double-free"]
-        assert ex.target in dbl.message
+    def test_error_names_the_reused_buffer(self):
+        ex = builder(FreeEarly, "free-early")
+        with pytest.raises(ExecutionError) as info:
+            record_blocking_qr(ex)
+        assert repr(ex.target) in str(info.value)
 
 
 # -- mutation: extra redundant H2D --------------------------------------------------
 
 
-class DupFirstH2d(CaptureExecutor):
+class DupFirstH2d(GraphBuilder):
     """Seeded bug: the first H2D is issued twice, back to back."""
 
     def __init__(self, *args, **kwargs):
@@ -207,14 +210,14 @@ class DupFirstH2d(CaptureExecutor):
 
 class TestRedundantTransfer:
     def test_flagged_as_exactly_one_redundant_h2d(self):
-        ex = DupFirstH2d(PAPER_SYSTEM, label="dup-h2d")
-        report = verify_program(capture_blocking_qr(ex), input_floor_words=M * N)
+        ex = builder(DupFirstH2d, "dup-h2d")
+        report = verify_program(record_blocking_qr(ex), input_floor_words=M * N)
         counts = rule_counts(report)
         assert counts == Counter({"redundant-h2d": 1})
 
     def test_finding_points_at_the_duplicate(self):
-        ex = DupFirstH2d(PAPER_SYSTEM, label="dup-h2d")
-        report = verify_program(capture_blocking_qr(ex))
+        ex = builder(DupFirstH2d, "dup-h2d")
+        report = verify_program(record_blocking_qr(ex))
         (finding,) = report.findings
         assert "re-moves" in finding.message
         assert finding.op.startswith("h2d")
@@ -225,7 +228,7 @@ class TestRedundantTransfer:
 
 class TestBudget:
     def test_over_budget_names_crossing_allocation(self):
-        program = capture_blocking_qr(CaptureExecutor(PAPER_SYSTEM, label="qr"))
+        program = record_blocking_qr(builder())
         clean = verify_program(program)
         assert clean.ok and clean.peak_bytes > 0
         tight = verify_program(program, budget_bytes=clean.peak_bytes - 1)
@@ -237,23 +240,20 @@ class TestBudget:
 
     def test_exact_peak_is_a_tight_bound(self):
         # budget == peak must pass: the peak is exact, not padded
-        program = capture_blocking_qr(CaptureExecutor(PAPER_SYSTEM, label="qr"))
+        program = record_blocking_qr(builder())
         clean = verify_program(program)
         at_peak = verify_program(program, budget_bytes=clean.peak_bytes)
         assert at_peak.ok
 
 
-# -- DAG-runtime mutations: verify_program over first-class task graphs ------------
+# -- graph mutations: defects seeded into a recorded task graph -------------------
 #
-# The verifier consumes task graphs from repro.runtime directly (no
-# capture pass). These mutations seed one defect each into a *real*
-# engine graph — a dropped dependency edge, a premature tile free, a
-# duplicated H2D — and the verifier must flag exactly the seeded class.
+# These mutations edit a *real* engine graph after recording — a dropped
+# dataflow edge, a premature tile free, a duplicated H2D — and the
+# verifier must flag exactly the seeded class.
 
 
 def build_qr_task_graph():
-    from repro.runtime import build_qr_graph
-
     return build_qr_graph(PAPER_SYSTEM, M, N, B, method="blocking")
 
 
@@ -275,12 +275,15 @@ class TestDagDroppedDependencyEdge:
     def test_flagged_as_race_and_nothing_else(self):
         graph = build_qr_task_graph()
         # drop the first dataflow edge whose removal leaves a conflicting
-        # pair with no other happens-before path
-        for op in graph.ops:
-            for dep in sorted(op.deps, key=lambda d: d.op_id):
-                if not _conflicts(op, dep):
+        # pair with no other happens-before path (the issued stream order
+        # still orders it: the race is in the order the DAG scheduler runs)
+        for task in graph.tasks:
+            for dep in list(task.deps):
+                if task.op is None or dep.op is None:
                     continue
-                op.deps.discard(dep)
+                if not _conflicts(task.op, dep.op):
+                    continue
+                task.deps.remove(dep)
                 report = verify_program(graph, input_floor_words=M * N)
                 if not report.ok:
                     counts = rule_counts(report)
@@ -289,7 +292,7 @@ class TestDagDroppedDependencyEdge:
                         "unordered" in f.message for f in report.findings
                     )
                     return
-                op.deps.add(dep)  # removal was covered transitively; retry
+                task.deps.append(dep)  # covered transitively; retry
         pytest.fail("no dataflow edge in the graph was load-bearing")
 
 
@@ -323,6 +326,7 @@ class TestDagDuplicatedH2d:
     def test_flagged_as_exactly_one_redundant_h2d(self):
         from dataclasses import replace
 
+        from repro.runtime import TileTask
         from repro.sim.ops import SimOp
 
         graph = build_qr_task_graph()
@@ -334,14 +338,21 @@ class TestDagDuplicatedH2d:
             name=original.name, engine=original.engine, kind=original.kind,
             duration=0.0, nbytes=original.nbytes, tags=dict(original.tags),
         )
+        t = next(t for t, task in enumerate(graph.tasks) if task.op is original)
+        clone_task = TileTask(
+            task_id=len(graph.tasks), op=clone, deps=[graph.tasks[t]]
+        )
         # a faithfully ordered but useless reload: dependent on the
-        # original, and ordered before every later conflicting op — the
-        # defect is the dead transfer itself, not a race
+        # original, and ordered before every later conflicting op in the
+        # issued order and in the dataflow — the defect is the dead
+        # transfer itself, not a race
         clone.deps.add(original)
         graph.ops.insert(i + 1, clone)
-        for later in graph.ops[i + 2:]:
-            if _conflicts(later, clone):
-                later.deps.add(clone)
+        graph.tasks.insert(t + 1, clone_task)
+        for later in graph.tasks[t + 2:]:
+            if later.op is not None and _conflicts(later.op, clone):
+                later.op.deps.add(clone)
+                later.deps.append(clone_task)
         graph.mem_events[:] = [
             replace(e, position=e.position + 1) if e.position > i else e
             for e in graph.mem_events
@@ -363,8 +374,8 @@ class TestDagDuplicatedH2d:
 # expected rule — and the clean twin of each mutation must verify clean.
 
 
-def capture_recursive_qr(config=PAPER_SYSTEM):
-    return capture_qr(config, M, N, B, method="recursive")
+def record_recursive_qr(config=PAPER_SYSTEM):
+    return build_qr_graph(config, M, N, B, method="recursive")
 
 
 class TestPrecisionMutations:
@@ -372,7 +383,7 @@ class TestPrecisionMutations:
         # the shipped plan splits inputs to fp16x4; the mutation runs the
         # raw fp16 quantizer instead (an upcast dropped from the TC
         # pipeline) against a tolerance only the split format can meet
-        program = capture_recursive_qr()
+        program = record_recursive_qr()
         report = verify_program(
             program,
             tolerance=1e-4,
@@ -386,7 +397,7 @@ class TestPrecisionMutations:
 
     def test_restored_upcast_is_clean(self):
         report = verify_program(
-            capture_recursive_qr(),
+            record_recursive_qr(),
             tolerance=1e-4,
             precision=PrecisionPlan(storage="fp32", gemm_input="fp16x4"),
         )
@@ -417,7 +428,7 @@ class TestPrecisionMutations:
         # plain-fp16 recursive QR against the default tolerance: the
         # propagated bound (not any single downcast) is the root cause
         report = verify_program(
-            capture_recursive_qr(), tolerance=DEFAULT_TOLERANCE
+            record_recursive_qr(), tolerance=DEFAULT_TOLERANCE
         )
         counts = rule_counts(report)
         assert counts == Counter({"tolerance-exceeded": 1}), counts
@@ -432,7 +443,7 @@ class TestPrecisionMutations:
 
         config = replace(PAPER_SYSTEM, precision=Precision.TC_FP16_SPLIT4)
         report = verify_program(
-            capture_recursive_qr(config), tolerance=DEFAULT_TOLERANCE
+            record_recursive_qr(config), tolerance=DEFAULT_TOLERANCE
         )
         assert report.ok, report.summary()
         assert 0 < report.precision_bound <= DEFAULT_TOLERANCE
@@ -484,13 +495,13 @@ class TestPrecisionProperties:
         bounds = []
         for k in (64, 128, 256):
             flow, findings = check_precision(
-                capture_gemm(PAPER_SYSTEM, 32, 32, k, 16)
+                build_gemm_graph(PAPER_SYSTEM, 32, 32, k, 16)
             )
             assert findings == []
             bounds.append(flow.bound)
         assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
 
     def test_max_k_tracks_the_deepest_chain(self):
-        flow, _ = check_precision(capture_gemm(PAPER_SYSTEM, 32, 32, 128, 16))
+        flow, _ = check_precision(build_gemm_graph(PAPER_SYSTEM, 32, 32, 128, 16))
         assert flow.n_gemms > 0
         assert flow.max_k >= 16  # at least one full k-chunk GEMM

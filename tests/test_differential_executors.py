@@ -5,11 +5,12 @@ The contract under test:
 * the serial and concurrent numeric executors produce **bitwise identical**
   Q/R/C outputs for the same plan — thread scheduling must not change a
   single ULP;
-* all stream executors (serial numeric, concurrent numeric, simulator,
-  symbolic capture) emit the **same happens-before graph** for the same
-  plan — op-for-op equal ``(engine, kind, name, deps)`` signatures, proving
-  the concurrent scheduler honours exactly the semantics the simulator
-  (and race detector) reason about;
+* all stream executors (serial numeric, concurrent numeric, simulator)
+  and the task-graph builder's issued order emit the **same
+  happens-before graph** for the same plan — op-for-op equal ``(engine,
+  kind, name, deps)`` signatures, proving the concurrent scheduler
+  honours exactly the semantics the simulator (and race detector) reason
+  about, and that a task graph verifies the very program they run;
 * every backend, the task-graph builder included, receives the **same
   ops** — node-for-node equal ``(engine, kind, name, nbytes, flops,
   accesses)`` — and counts the same ``RunStats``, because the op vocabulary
@@ -29,7 +30,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.analysis.capture import CaptureExecutor
 from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ExecutionError
 from repro.execution import (
@@ -70,13 +70,9 @@ def _qr_executors(config):
 
 
 def _all_executors(config):
-    """Every backend: the three stream executors, capture and the graph
-    builder (the last two record instead of running)."""
-    return (
-        *_qr_executors(config),
-        CaptureExecutor(config),
-        GraphBuilder(config, materialize=False),
-    )
+    """Every backend: the three stream executors and the graph builder
+    (which records instead of running)."""
+    return (*_qr_executors(config), GraphBuilder(config, materialize=False))
 
 
 def _ops_of(ex) -> list:
@@ -117,15 +113,14 @@ def _counters(stats: RunStats) -> dict:
 
 
 def _assert_backends_agree(executors) -> None:
-    """Node-for-node equal ops and equal counters across all backends;
-    equal happens-before graphs across the stream executors."""
+    """Node-for-node equal ops, equal counters and equal happens-before
+    graphs across all backends."""
     reference = executors[0]
     for ex in executors[1:]:
         name = type(ex).__name__
         assert _nodes(_ops_of(ex)) == _nodes(_ops_of(reference)), name
         assert _counters(ex.stats) == _counters(reference.stats), name
-        if not isinstance(ex, GraphBuilder):
-            assert _signature_of(ex) == _signature_of(reference), name
+        assert _signature_of(ex) == _signature_of(reference), name
 
 
 QR_GRID = [

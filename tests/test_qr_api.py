@@ -8,6 +8,8 @@ import pytest
 from repro.bench.workloads import random_tall
 from repro.config import SystemConfig
 from repro.errors import ValidationError
+from repro.factor.api import ooc_cholesky, ooc_lu
+from repro.factor.incore import diagonally_dominant, spd_matrix
 from repro.host.tiled import HostMatrix
 from repro.hw.gemm import Precision
 from repro.qr.api import ooc_qr
@@ -73,14 +75,53 @@ class TestNumericMode:
         # the host working copy and R must be freed as soon as the caller
         # drops the result, not whenever the cyclic collector next runs
         a = random_tall(96, 64, seed=23)
-        ooc_qr(a, method=method, config=config, blocksize=16, runtime=runtime)
-        gc.collect()
-        gc.disable()
-        try:
-            ooc_qr(a, method=method, config=config, blocksize=16, runtime=runtime)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        _assert_no_cycles(lambda: ooc_qr(
+            a, method=method, config=config, blocksize=16, runtime=runtime
+        ))
+
+    @pytest.mark.parametrize("runtime", ["legacy", "dag"])
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    def test_threaded_call_leaves_no_reference_cycles(
+        self, config, method, runtime
+    ):
+        # recorded ops keep their stream's name, not the stream, so the
+        # threaded executor's op <-> stream links form no cycle
+        a = random_tall(96, 64, seed=23)
+        _assert_no_cycles(lambda: ooc_qr(
+            a, method=method, config=config, blocksize=16, runtime=runtime,
+            concurrency="threads",
+        ))
+
+    @pytest.mark.parametrize("concurrency", ["serial", "threads"])
+    @pytest.mark.parametrize("method", ["recursive", "blocking"])
+    @pytest.mark.parametrize("kind", ["lu", "cholesky"])
+    def test_factor_call_leaves_no_reference_cycles(
+        self, kind, method, concurrency
+    ):
+        # the recursive LU/Cholesky drivers share the QR driver's
+        # self-referencing closure; 1 MiB forces out-of-core tiling
+        if kind == "lu":
+            a, run = diagonally_dominant(96, seed=5), ooc_lu
+        else:
+            a, run = spd_matrix(96, seed=5), ooc_cholesky
+        cfg = SystemConfig(gpu=make_tiny_spec(1 << 20), precision=Precision.FP32)
+        _assert_no_cycles(lambda: run(
+            a, method=method, config=cfg, blocksize=16,
+            concurrency=concurrency,
+        ))
+
+
+def _assert_no_cycles(call) -> None:
+    """Call twice (the first warms caches); the second must leave nothing
+    for the cyclic collector."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestSimMode:

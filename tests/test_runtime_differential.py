@@ -4,14 +4,14 @@ For every engine migrated to the DAG runtime (blocking QR, recursive QR,
 both OOC GEMM engines), the same problem is run on the legacy imperative
 path and on ``runtime="dag"`` — serial and concurrent, power-of-two and
 ragged shapes — and the results must be *bitwise* identical. On top of
-the numeric identity, recorded programs must be node-for-node comparable:
-the task graph emits exactly the ops a capture of the legacy run records,
-in the same order, and every dataflow edge the graph derives is ordered
-the same way by the legacy program's happens-before closure.
+the numeric identity, recorded programs must be comparable: a task
+graph's issued order (``op.deps``) is op for op the happens-before graph
+a ``SimExecutor`` run of the same engine records, and the graph's
+dataflow (``task.deps``) never contradicts that order and covers every
+conflicting pair it orders (:func:`~repro.runtime.edges_consistent`).
 
 Finally, ``verify_program`` must accept the task graphs *directly* —
-race-free, leak-free, exact peak within budget, §3.2 transfer volume —
-with no capture pass (the tentpole's acceptance criterion).
+race-free, leak-free, exact peak within budget, §3.2 transfer volume.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis import verify_program
-from repro.analysis.engines import capture_gemm, capture_qr
-from repro.config import SystemConfig
+from repro.analysis import exact_peak_bytes, verify_program
+from repro.config import PAPER_SYSTEM, SystemConfig
 from repro.errors import ValidationError
+from repro.execution import SimExecutor
 from repro.hw.gemm import Precision
 from repro.ooc.api import ooc_gemm
 from repro.qr.api import ooc_qr
@@ -33,10 +33,13 @@ from repro.runtime import (
     GRAPH_BUILDERS,
     build_gemm_graph,
     build_qr_graph,
+    drive_gemm,
+    drive_factor,
+    drive_qr,
     edges_consistent,
-    node_signature,
     verify_engine_graph,
 )
+from repro.sim import happens_before_signature
 from repro.util.rng import default_rng, stable_seed
 from tests.conftest import make_tiny_spec
 
@@ -123,6 +126,63 @@ class TestGemmBitwise:
         assert legacy.stats.d2h_bytes == dag.stats.d2h_bytes
 
 
+def _sim_run(name: str, cfg: SystemConfig, m: int, n: int, b: int):
+    """Registry engine *name* driven on a ``SimExecutor``, with the
+    argument conventions of :data:`~repro.runtime.GRAPH_BUILDERS`."""
+    family, variant = name.split("-")
+    method = "blocking" if variant == "blocking" else "recursive"
+    if variant == "tsqr":
+        cfg = replace(cfg, panel_algorithm="tsqr")
+    ex = SimExecutor(cfg)
+    if family == "qr":
+        drive_qr(ex, m, n, b, method=method)
+    elif family == "lu":
+        drive_factor(ex, "lu", n, b, method=method)
+    elif family == "chol":
+        drive_factor(ex, "cholesky", n, b, method=method)
+    elif variant == "inner":
+        drive_gemm(ex, n, n, m, b, kind="inner")
+    else:
+        drive_gemm(ex, m, n, n, b, kind="outer")
+    return ex
+
+
+def _assert_same_program(graph, sim_ex) -> None:
+    """The graph's issued order is the simulator's program, and its
+    dataflow agrees with it; allocations replay the same peak."""
+    assert happens_before_signature(graph.ops) == happens_before_signature(
+        sim_ex.sim.program.ops
+    )
+    assert edges_consistent(graph)
+    assert exact_peak_bytes(graph) == sim_ex.allocator.peak
+    allocs = [e for e in graph.mem_events if e.kind == "alloc"]
+    assert len(allocs) == sim_ex.allocator.n_allocs
+
+
+#: The CI ``static-analysis`` sweep shapes: (m, n, b, device GiB or None).
+CI_SHAPES = [
+    (96, 64, 16, None), (128, 64, 8, None), (96, 48, 16, None),
+    (96, 64, 16, 0.001),
+]
+
+
+class TestIssuedOrderAnchor:
+    """Every registry engine's graph records the program a ``SimExecutor``
+    run issues: the verifier checks what the legacy executors and the
+    simulator run."""
+
+    @pytest.mark.parametrize("m,n,b,gib", CI_SHAPES)
+    @pytest.mark.parametrize("name", sorted(GRAPH_BUILDERS))
+    def test_graph_signature_equals_sim_run(self, name, m, n, b, gib):
+        cfg = PAPER_SYSTEM
+        if gib is not None:
+            cfg = SystemConfig(
+                gpu=cfg.gpu.with_memory(int(gib * (1 << 30)), suffix="capped")
+            )
+        graph = GRAPH_BUILDERS[name](cfg, m, n, b)
+        _assert_same_program(graph, _sim_run(name, cfg, m, n, b))
+
+
 class TestProgramEquivalence:
     """The graph is node-for-node the legacy program."""
 
@@ -131,23 +191,17 @@ class TestProgramEquivalence:
     def test_qr_node_for_node(self, method, tag, m, n):
         cfg = _config()
         graph = build_qr_graph(cfg, m, n, BLOCK, method=method)
-        capture = capture_qr(cfg, m, n, BLOCK, method=method)
-        assert node_signature(graph.ops) == node_signature(capture.ops)
-        assert edges_consistent(graph.ops, capture.ops)
-        # allocator logs line up event-for-event too
-        assert [
-            (e.kind, e.name, e.nbytes, e.position) for e in graph.mem_events
-        ] == [
-            (e.kind, e.name, e.nbytes, e.position) for e in capture.mem_events
-        ]
+        sim_ex = SimExecutor(cfg)
+        drive_qr(sim_ex, m, n, BLOCK, method=method)
+        _assert_same_program(graph, sim_ex)
 
     @pytest.mark.parametrize("kind", ["inner", "outer"])
     def test_gemm_node_for_node(self, kind):
         cfg = _config()
         graph = build_gemm_graph(cfg, 64, 64, 128, 32, kind=kind)
-        capture = capture_gemm(cfg, 64, 64, 128, 32, kind=kind)
-        assert node_signature(graph.ops) == node_signature(capture.ops)
-        assert edges_consistent(graph.ops, capture.ops)
+        sim_ex = SimExecutor(cfg)
+        drive_gemm(sim_ex, 64, 64, 128, 32, kind=kind)
+        _assert_same_program(graph, sim_ex)
 
     def test_sim_mode_matches_legacy_accounting(self):
         cfg = _config()

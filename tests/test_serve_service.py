@@ -449,6 +449,63 @@ class TestPlanVerification:
         assert snap["plans_verified"]["value"] == 0
         assert not ran.is_set()  # never reached a worker
 
+    def test_builder_refused_plan_quarantined_before_queue(self, monkeypatch):
+        # a defect the graph builder refuses outright (the first H2D target
+        # freed while the engine keeps using it) is rejected like a
+        # verifier finding, with the builder's typed error as the cause
+        from repro.errors import ExecutionError
+        from repro.runtime import GraphBuilder, engines
+
+        class FreeEarly(GraphBuilder):
+            freed = False
+
+            def h2d(self, dst, src, stream):
+                super().h2d(dst, src, stream)
+                if not self.freed:
+                    self.freed = True
+                    self.free(dst if hasattr(dst, "payload") else dst.buffer)
+
+        monkeypatch.setattr(engines, "GraphBuilder", FreeEarly)
+        ran = threading.Event()
+
+        def runner(spec, job_config, concurrency):
+            ran.set()
+            return run_job(spec, job_config, concurrency=concurrency)
+
+        with FactorService(make_config(), runner=runner) as svc:
+            with pytest.raises(AdmissionError) as exc:
+                svc.submit(self._spec())
+            snap = svc.snapshot_metrics()
+        assert exc.value.reason == "plan-rejected"
+        assert isinstance(exc.value.__cause__, ExecutionError)
+        assert "use of freed device buffer" in str(exc.value)
+        assert snap["plans_rejected"]["value"] == 1
+        assert snap["plans_verified"]["value"] == 0
+        assert not ran.is_set()  # never reached a worker
+
+    def test_repeated_plan_verified_once(self, monkeypatch):
+        # the report depends on the plan, not on operand values: a second
+        # job of the same shape reuses it; a new shape records a new graph
+        from repro.runtime import build_job_graph
+
+        built = []
+
+        def counting(spec, config):
+            built.append(spec.shapes())
+            return build_job_graph(spec, config)
+
+        monkeypatch.setattr("repro.runtime.build_job_graph", counting)
+        with FactorService(make_config()) as svc:
+            first = svc.verify_job(self._spec(seed=1))
+            again = svc.verify_job(self._spec(seed=2))
+            wider = svc.verify_job(JobSpec(
+                "qr", (default_rng(3).standard_normal((64, 32)),),
+                options=OPTS,
+            ))
+        assert again is first
+        assert wider is not first and wider.ok
+        assert built == [((48, 32),), ((64, 32),)]
+
     def test_explicit_reservation_charged_as_requested(self):
         config = make_config()
         reservation = 1 << 19
